@@ -310,8 +310,8 @@ func BenchmarkPaperScenarioSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkScatternet runs N interference-coupled piconets over one
-// shared kernel (batched traffic generation on) and reports how
+// BenchmarkScatternet runs N interference-coupled piconets, one kernel
+// shard per piconet (batched traffic generation on), and reports how
 // simulation throughput scales with the piconet count — the
 // sim_s/wall_s-vs-count trajectory also recorded in BENCH_kernel.json.
 func BenchmarkScatternet(b *testing.B) {
@@ -330,49 +330,6 @@ func BenchmarkScatternet(b *testing.B) {
 					b.Fatal(err)
 				}
 				if res.TotalKbps(piconet.Guaranteed) < 100*float64(piconets) {
-					b.Fatal("implausible result")
-				}
-				events += res.Events
-			}
-			perOp := b.Elapsed() / time.Duration(b.N)
-			if perOp > 0 {
-				b.ReportMetric(simulated.Seconds()/perOp.Seconds(), "sim_s/wall_s")
-			}
-			if sec := b.Elapsed().Seconds(); sec > 0 && events > 0 {
-				b.ReportMetric(float64(events)/sec, "events/s")
-			}
-		})
-	}
-}
-
-// BenchmarkScatternetWorkers measures the sharded kernel's worker
-// multiplexing on a fixed 4-piconet scatternet: the same spec at 1, 2
-// and GOMAXPROCS kernel workers. Results are byte-identical at every
-// count (the shard-determinism suite enforces it), so the rows differ
-// only in wall clock — on multi-core hardware the sim_s/wall_s spread
-// is the shard-parallel speedup, on one core it is the cost of
-// multiplexing four shard goroutines over the epoch barrier.
-func BenchmarkScatternetWorkers(b *testing.B) {
-	simulated := 5 * time.Second
-	counts := []int{1, 2}
-	if n := runtime.GOMAXPROCS(0); n > 2 {
-		counts = append(counts, n)
-	}
-	for _, workers := range counts {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				spec := scenario.Scatternet(scenario.ScatternetConfig{Piconets: 4})
-				spec.Duration = simulated
-				spec.BatchTraffic = true
-				spec.KernelWorkers = workers
-				res, err := scenario.Run(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.TotalKbps(piconet.Guaranteed) < 400 {
 					b.Fatal("implausible result")
 				}
 				events += res.Events

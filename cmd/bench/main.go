@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/bench [-out BENCH_kernel.json] [-cache-dir DIR] [-kernel-workers 1,2,4]
+//	go run ./cmd/bench [-out BENCH_kernel.json] [-cache-dir DIR]
 //
 // Besides the kernel workloads it measures the experiment harness with
 // its content-addressed run cache cold and warm (harness_sweep_cold /
@@ -23,12 +23,8 @@
 // burst-batched traffic generation (paper_scenario_10s vs
 // paper_scenario_10s_batch — the batching before/after), and the
 // scatternet_<N>pn rows track how sim_s/wall_s scales with the number
-// of interference-coupled piconets, each now its own kernel shard. The
-// scatternet_<N>pn_<W>w grid (-kernel-workers) pins Spec.KernelWorkers
-// per row: results are byte-identical at every worker count, so the
-// grid isolates the execution cost of the worker multiplexing — read it
-// against num_cpu, since on a single-core container the spread is pure
-// goroutine-switch overhead rather than parallel speedup.
+// of interference-coupled piconets, each its own kernel shard. Read
+// every row against num_cpu and gomaxprocs.
 //
 // The committed baseline is produced by CI hardware (see the bench job in
 // .github/workflows/ci.yml); numbers from other machines are comparable
@@ -42,8 +38,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -75,6 +69,7 @@ type Baseline struct {
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
 	NumCPU     int      `json:"num_cpu"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -146,23 +141,12 @@ func measureScenario(simulated time.Duration, batch bool) Result {
 
 // measureScatternet runs N interference-coupled piconets — one kernel
 // shard per piconet — and reports how simulation throughput scales with
-// the piconet count. workers sets Spec.KernelWorkers: 0 keeps the spec
-// default (shards multiplexed onto GOMAXPROCS workers) and the legacy
-// scatternet_<N>pn_<D>s row name; an explicit count emits a
-// scatternet_<N>pn_<W>w row instead. Results are byte-identical at any
-// worker count (the determinism suite enforces it), so the per-worker
-// rows differ only in wall clock: on one core (see num_cpu) the spread
-// is the goroutine-multiplex overhead, on multi-core CI it is the
-// shard-parallel speedup.
-func measureScatternet(piconets int, simulated time.Duration, workers int) Result {
+// the piconet count.
+func measureScatternet(piconets int, simulated time.Duration) Result {
 	name := fmt.Sprintf("scatternet_%dpn_%ds", piconets, int(simulated.Seconds()))
-	if workers > 0 {
-		name = fmt.Sprintf("scatternet_%dpn_%dw", piconets, workers)
-	}
 	return measureSpec(name, func() scenario.Spec {
 		spec := scenario.Scatternet(scenario.ScatternetConfig{Piconets: piconets})
 		spec.BatchTraffic = true
-		spec.KernelWorkers = workers
 		return spec
 	}, simulated, 100*float64(piconets))
 }
@@ -266,41 +250,18 @@ func measureFabric(n int) (Result, error) {
 	return out, nil
 }
 
-// parseWorkers splits a comma-separated -kernel-workers value into
-// positive ints.
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -kernel-workers value %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 func main() {
 	out := flag.String("out", "BENCH_kernel.json", "baseline output path (- for stdout)")
 	cacheDir := flag.String("cache-dir", "", "run-cache directory for the harness sweep workloads (default: a temp dir)")
-	kernelWorkers := flag.String("kernel-workers", "1,2,4", "comma-separated Spec.KernelWorkers counts for the scatternet_<N>pn_<W>w grid (empty: skip the grid)")
 	flag.Parse()
-	workerCounts, err := parseWorkers(*kernelWorkers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
 
 	base := Baseline{
-		Schema:    "bluegs/bench-kernel/v1",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
+		Schema:     "bluegs/bench-kernel/v1",
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	base.Benchmarks = append(base.Benchmarks,
 		measure("kernel_slot_churn", benchwork.Churn(sim.SlotGrain)),
@@ -310,15 +271,10 @@ func main() {
 		measure("kernel_same_slot_batch", benchwork.SameSlotBatch),
 		measureScenario(10*time.Second, false),
 		measureScenario(10*time.Second, true),
-		measureScatternet(2, 10*time.Second, 0),
-		measureScatternet(4, 10*time.Second, 0),
-		measureScatternet(8, 10*time.Second, 0),
+		measureScatternet(2, 10*time.Second),
+		measureScatternet(4, 10*time.Second),
+		measureScatternet(8, 10*time.Second),
 	)
-	for _, piconets := range []int{2, 4, 8} {
-		for _, w := range workerCounts {
-			base.Benchmarks = append(base.Benchmarks, measureScatternet(piconets, 10*time.Second, w))
-		}
-	}
 	cold, warm, err := measureSweep(*cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)

@@ -37,9 +37,10 @@
 //     its byte-identical degenerate case. Execution shards the event
 //     kernel per bridge-connected piconet group (sim.ShardSet:
 //     conservative parallel DES, interference snapshots exchanged at
-//     fixed epochs); Spec.KernelWorkers multiplexes the shards onto
-//     worker goroutines and is a pure execution knob — results,
-//     fingerprints and cache keys are byte-identical at every count.
+//     fixed 25 ms epochs). Shards step sequentially on the run's own
+//     goroutine: stepping them on worker goroutines lost to one worker
+//     at every measured size (4 to 128 piconets on 2 CPUs), because a
+//     sweep already runs one simulation per CPU.
 //     Spec.Faults/Spec.Recovery add fault injection and self-healing:
 //     declared link outages, slave departures and master crashes meet
 //     a supervision timeout (N failed polls declare a link dead and

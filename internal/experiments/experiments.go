@@ -43,12 +43,6 @@ type Config struct {
 	// Workers bounds the harness worker pool (default GOMAXPROCS).
 	// Results are bit-identical at any worker count.
 	Workers int
-	// KernelWorkers, when non-zero, bounds the worker goroutines of the
-	// sharded event kernel inside every simulation
-	// (scenario.Spec.KernelWorkers). Like Workers it is a pure execution
-	// knob: tables, fingerprints and cache keys are bit-identical at any
-	// value.
-	KernelWorkers int
 	// Progress, when set, receives (completed, total) run counts while
 	// a sweep executes.
 	Progress func(done, total int)
@@ -111,10 +105,9 @@ func (c Config) sweep() harness.SweepConfig {
 // options converts the execution half of the configuration.
 func (c Config) options() harness.Options {
 	opts := harness.Options{
-		Workers:       c.Workers,
-		KernelWorkers: c.KernelWorkers,
-		Cache:         c.Cache,
-		Interrupt:     c.Interrupt,
+		Workers:   c.Workers,
+		Cache:     c.Cache,
+		Interrupt: c.Interrupt,
 	}
 	if c.Progress != nil {
 		p := c.Progress

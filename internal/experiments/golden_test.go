@@ -52,3 +52,27 @@ func TestBaselinePollersGolden(t *testing.T) {
 	}
 	checkGolden(t, "baseline_60s_seed1.golden", tbl.String())
 }
+
+// shardGoldenCfg pins the sharded-kernel snapshots: 2 s at seed 1, short
+// enough for every test run while still crossing 80 interference epochs.
+var shardGoldenCfg = Config{Duration: 2 * time.Second, Seed: 1}
+
+// TestScatternetStudyGolden pins E9, whose multi-piconet cells shard one
+// kernel per piconet and couple the shards at interference epochs.
+func TestScatternetStudyGolden(t *testing.T) {
+	_, tbl, err := ScatternetStudy(shardGoldenCfg, []int{1, 2, 4}, []float64{60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "scatternet_e9_2s_seed1.golden", tbl.String())
+}
+
+// TestBridgeStudyGolden pins E12, whose bridge-chained piconets co-shard
+// into one kernel group.
+func TestBridgeStudyGolden(t *testing.T) {
+	_, tbl, err := BridgeStudy(shardGoldenCfg, []int{2}, []float64{0.5}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "bridge_e12_2s_seed1.golden", tbl.String())
+}

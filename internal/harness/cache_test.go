@@ -57,9 +57,16 @@ func TestRunCacheMemoryRoundTrip(t *testing.T) {
 // TestRunCacheDiskRoundTrip: a fresh cache over the same directory (a new
 // process, in effect) replays the sweep from disk with every statistic —
 // including delay quantiles backed by the gob-serialized samples — exact.
+// The sweep carries a sharded scatternet run too, whose replay must also
+// match a fresh, uncached simulation.
 func TestRunCacheDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	sw := shortSweep(t)
+	sw.Runs = append(sw.Runs, harness.Run{
+		Index: len(sw.Runs),
+		Cell:  "scatter",
+		Spec:  scenario.Scatternet(scenario.ScatternetConfig{Piconets: 3, Duration: 2 * time.Second}),
+	})
 	cold, err := harness.Execute(sw.Runs, harness.Options{
 		Cache: newCache(t, harness.CacheConfig{Dir: dir}),
 	})
@@ -77,6 +84,13 @@ func TestRunCacheDiskRoundTrip(t *testing.T) {
 	st := fresh.Stats()
 	if st.DiskHits != uint64(len(sw.Runs)) {
 		t.Fatalf("stats = %+v, want %d disk hits", st, len(sw.Runs))
+	}
+	uncached, err := harness.Execute(sw.Runs[len(sw.Runs)-1:], harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uncached[0].Result.Report().String() != warm[len(warm)-1].Result.Report().String() {
+		t.Fatal("fresh sharded simulation diverged from its disk replay")
 	}
 	for i := range warm {
 		// A fresh run stores the defaulted spec; a cache hit must

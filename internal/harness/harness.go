@@ -121,13 +121,6 @@ type Options struct {
 	// are serialized but completion order is scheduling-dependent; do
 	// not derive results from it.
 	OnProgress func(done, total int, r RunResult)
-	// KernelWorkers, when non-zero, overrides Spec.KernelWorkers on every
-	// dispatched run: the worker-goroutine bound of the sharded event
-	// kernel inside each simulation. It is a pure execution knob —
-	// results, fingerprints and cache keys are identical at any value —
-	// so it composes freely with Cache (a warm cache serves the same
-	// bytes a re-simulation at any worker count would produce).
-	KernelWorkers int
 	// Cache, when set, serves runs whose fingerprint it already holds
 	// without executing the simulator, and stores every fresh result.
 	// Runs carrying Hooks always execute (their side effects cannot
@@ -229,12 +222,6 @@ dispatch:
 // execute resolves one run: from the cache when possible, otherwise by
 // running the scenario (and storing the fresh result).
 func execute(run Run, opts Options) RunResult {
-	if opts.KernelWorkers != 0 {
-		// Safe to set before the cache-key hash: KernelWorkers is
-		// excluded from the canonical rendering, so the key — and the
-		// result — are identical at any worker count.
-		run.Spec.KernelWorkers = opts.KernelWorkers
-	}
 	cacheable := opts.Cache != nil && run.Hooks.Zero()
 	var key string
 	if cacheable {

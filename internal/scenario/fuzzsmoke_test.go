@@ -150,54 +150,6 @@ func TestRegistryFuzzSmoke(t *testing.T) {
 	}
 }
 
-// TestRegistryFuzzSmokeKernelWorkers reruns the fuzz smoke over every
-// registered preset with the sharded kernel multiplexed onto several
-// workers, asserting the fingerprint-keyed result — report, admission
-// log, kernel event count — is byte-identical to the single-worker run.
-// Presets whose timeline churn forces a single shard group exercise the
-// dispatch (and its collapse to the legacy kernel) instead.
-func TestRegistryFuzzSmokeKernelWorkers(t *testing.T) {
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			for seed := int64(1); seed <= 2; seed++ {
-				spec, ok := Lookup(name)
-				if !ok {
-					t.Fatal("registered name does not resolve")
-				}
-				spec.Duration = 2 * time.Second
-				rng := rand.New(rand.NewSource(seed))
-				spec.Timeline = append(spec.Timeline, randomTimeline(rng, spec)...)
-				fp := spec.Fingerprint()
-				spec.KernelWorkers = 1
-				ref, err := Run(spec)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				spec.KernelWorkers = 4
-				if spec.Fingerprint() != fp {
-					t.Fatalf("seed %d: KernelWorkers changed the fingerprint", seed)
-				}
-				got, err := Run(spec)
-				if err != nil {
-					t.Fatalf("seed %d workers=4: %v", seed, err)
-				}
-				if got.Events != ref.Events {
-					t.Fatalf("seed %d: %d kernel events at 4 workers, want %d",
-						seed, got.Events, ref.Events)
-				}
-				if got.Report().String() != ref.Report().String() {
-					t.Fatalf("seed %d: report diverged across kernel worker counts", seed)
-				}
-				if len(got.Admissions) != len(ref.Admissions) {
-					t.Fatalf("seed %d: admission log diverged: %d vs %d records",
-						seed, len(got.Admissions), len(ref.Admissions))
-				}
-			}
-		})
-	}
-}
-
 // TestRegistryFuzzSmokeInterferenceAware reruns the fuzz smoke with
 // interference-aware admission switched on over every preset: the FH
 // coupling enabled and a static derate pinned at the 16-piconet estimate,

@@ -133,13 +133,8 @@ func RunWith(spec Spec, hooks Hooks) (*Result, error) {
 		return nil, fmt.Errorf("%w: a live Radio hook cannot serve a multi-piconet run", ErrBadSpec)
 	}
 
-	// KernelWorkers is a pure execution knob: resolve it, then zero it so
-	// neither the runners nor Result.Spec ever see a worker count (results
-	// must compare byte-identical across worker counts and cache replays).
-	workers := kernelWorkersFor(spec.KernelWorkers)
-	spec.KernelWorkers = 0
 	if groups := kernelShards(spec, hooks); len(groups) > 1 {
-		return runSharded(spec, piconets, groups, workers)
+		return runSharded(spec, piconets, groups)
 	}
 
 	r := &runner{

@@ -249,15 +249,6 @@ type Spec struct {
 	// each hop derated by its bridge's residency duty cycle (see
 	// RouteSpec). Admission is atomic all-or-nothing across the hops.
 	Routes []RouteSpec
-	// KernelWorkers bounds the worker goroutines the sharded event
-	// kernel multiplexes piconet groups onto (<= 0 means GOMAXPROCS,
-	// capped at the shard count). It is a pure execution knob: the shard
-	// partition, every shard's RNG stream and the interference-exchange
-	// epochs are derived from the spec alone, so results are
-	// byte-identical at any value. It is therefore excluded from the
-	// canonical rendering (and the fingerprint/run-cache key), from the
-	// v2 JSON codec, and from Result.Spec, which always reports 0.
-	KernelWorkers int
 }
 
 // Paper returns the paper's Fig. 4 setup: a seven-slave piconet with four

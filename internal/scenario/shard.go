@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -20,8 +19,7 @@ import (
 // timescales (250 ms by default), so a 25 ms snapshot cadence tracks it
 // closely while leaving ~40 decision intervals of useful work per shard
 // per epoch. The value is a semantic constant of the sharded coupling
-// model — never a function of the worker count — so results are
-// byte-identical at any KernelWorkers.
+// model.
 const interferenceEpoch = 25 * time.Millisecond
 
 // shardSeed derives shard g's RNG seed from the run seed. Shard 0 keeps
@@ -46,14 +44,6 @@ func shardSeed(base int64, g int) int64 {
 	return seed
 }
 
-// kernelWorkersFor resolves Spec.KernelWorkers (<= 0 means GOMAXPROCS).
-func kernelWorkersFor(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // kernelShards partitions the spec's piconets into shard groups: the
 // connected components of the "must share a kernel" relation. Bridges,
 // routes and flow moves create cross-piconet event flow with zero
@@ -67,8 +57,7 @@ func kernelWorkersFor(n int) int {
 // a single group, which is also the exact legacy single-kernel path.
 //
 // The partition is a pure function of the (defaulted) spec: it never
-// depends on KernelWorkers, scheduling, or anything outside the spec,
-// which is what keeps sharded runs byte-identical at any worker count.
+// depends on scheduling or anything outside the spec.
 func kernelShards(spec Spec, hooks Hooks) [][]string {
 	ps := spec.piconetSpecs()
 	names := make([]string, len(ps))
@@ -238,14 +227,17 @@ func routeOrder(spec Spec) []piconet.FlowID {
 	return order
 }
 
+// shardedStart, when non-nil, receives the shard kernels of every
+// sharded run just before the first epoch. It is nil outside tests,
+// which use it to inject handler faults into the sharded path.
+var shardedStart func(shards []*sim.Simulator)
+
 // runSharded executes a multi-group scenario: one runner — kernel,
 // medium, piconets, routes, admission log — per shard group, driven in
 // lockstep interference-exchange epochs by sim.ShardSet. Every input of
 // every shard (partition, seeds, epoch boundaries, event assignment) is
-// derived from the spec alone; `workers` only multiplexes shard
-// execution onto goroutines, so results are byte-identical at any
-// worker count.
-func runSharded(spec Spec, piconets []PiconetSpec, groups [][]string, workers int) (*Result, error) {
+// derived from the spec alone.
+func runSharded(spec Spec, piconets []PiconetSpec, groups [][]string) (*Result, error) {
 	groupOf := make(map[string]int)
 	for g, members := range groups {
 		for _, n := range members {
@@ -260,9 +252,7 @@ func runSharded(spec Spec, piconets []PiconetSpec, groups [][]string, workers in
 			s:           sim.New(sim.WithSeed(shardSeed(spec.Seed, g))),
 			byName:      make(map[string]*piconetRunner),
 			defaultName: spec.defaultPiconetName(),
-			// Compiled per shard (cheap, pure) so no oracle state is
-			// shared across worker goroutines.
-			fsched: spec.Faults.Compile(),
+			fsched:      spec.Faults.Compile(),
 		}
 		if spec.Interference.Enabled {
 			r.medium = radio.NewMedium(spec.Interference.Channels, spec.Interference.Window,
@@ -317,6 +307,9 @@ func runSharded(spec Spec, piconets []PiconetSpec, groups [][]string, workers in
 		}
 	}
 
+	if shardedStart != nil {
+		shardedStart(sims)
+	}
 	ss := sim.NewShardSet(sims...)
 	epoch := spec.Duration
 	var exchange func(end time.Duration)
@@ -324,7 +317,7 @@ func runSharded(spec Spec, piconets []PiconetSpec, groups [][]string, workers in
 		epoch = interferenceEpoch
 		clears := make([]float64, len(runners))
 		exchange = func(end time.Duration) {
-			// Single-threaded at the barrier, every shard clock at end:
+			// At the barrier, every shard clock at end:
 			// snapshot each shard's clear-channel product, then install
 			// the product of everyone else's as each shard's foreign
 			// interference for the next epoch.
@@ -342,7 +335,7 @@ func runSharded(spec Spec, piconets []PiconetSpec, groups [][]string, workers in
 			}
 		}
 	}
-	errs := ss.RunEpochs(spec.Duration, epoch, workers, exchange)
+	errs := ss.RunEpochs(spec.Duration, epoch, exchange)
 	for _, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: run: %w", err)
@@ -367,8 +360,7 @@ func runSharded(spec Spec, piconets []PiconetSpec, groups [][]string, workers in
 // piconets as declared, routes in creation order, and the admission
 // logs of all shards interleaved chronologically (records sharing an
 // instant keep shard order — the merge is stable). Every ordering input
-// is spec-derived, so the merged result is byte-identical at any worker
-// count.
+// is spec-derived.
 func mergeResults(spec Spec, piconets []PiconetSpec, runners []*runner, order []piconet.FlowID) *Result {
 	end := runners[0].s.Now()
 	res := &Result{Spec: spec, Elapsed: end}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -158,10 +159,10 @@ func TestShardSeedDistinct(t *testing.T) {
 	}
 }
 
-// shardedProbe is the worker-count determinism workload: several
-// unbridged piconets coupled through interference, online GS arrivals
-// exercising the admission log, and a mid-run flow removal.
-func shardedProbe(workers int) (*Result, error) {
+// shardedProbe is the sharded determinism workload: several unbridged
+// piconets coupled through interference, online GS arrivals exercising
+// the admission log, and a mid-run flow removal.
+func shardedProbe() (*Result, error) {
 	spec := Scatternet(ScatternetConfig{
 		Piconets: 4,
 		OnlineGS: 1,
@@ -169,18 +170,16 @@ func shardedProbe(workers int) (*Result, error) {
 	})
 	spec.Timeline = append(spec.Timeline,
 		RemoveAt(2*time.Second, 1).For("pn2"))
-	spec.KernelWorkers = workers
 	return Run(spec)
 }
 
-// TestShardedByteIdenticalAcrossWorkers is the tentpole's acceptance
-// spec at scenario level: merged metrics, report tables and the
-// chronological admission log must be byte-identical at any worker
-// count, and Result.Spec must never leak the worker count.
-func TestShardedByteIdenticalAcrossWorkers(t *testing.T) {
-	ref, err := shardedProbe(1)
+// TestShardedByteIdentical is the sharded kernel's acceptance spec at
+// scenario level: merged metrics, report tables and the chronological
+// admission log must be byte-identical from one run to the next.
+func TestShardedByteIdentical(t *testing.T) {
+	ref, err := shardedProbe()
 	if err != nil {
-		t.Fatalf("workers=1: %v", err)
+		t.Fatal(err)
 	}
 	if len(ref.Piconets) != 4 {
 		t.Fatalf("probe ran %d piconets, want 4", len(ref.Piconets))
@@ -188,38 +187,29 @@ func TestShardedByteIdenticalAcrossWorkers(t *testing.T) {
 	if len(ref.Admissions) == 0 {
 		t.Fatal("probe produced no admission records")
 	}
-	refReport := ref.Report().String()
-	for _, workers := range []int{2, runtime.GOMAXPROCS(0), 8, 0} {
-		got, err := shardedProbe(workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got.Spec.KernelWorkers != 0 {
-			t.Fatalf("workers=%d: Result.Spec.KernelWorkers = %d, want 0",
-				workers, got.Spec.KernelWorkers)
-		}
-		if got.Events != ref.Events {
-			t.Fatalf("workers=%d: %d kernel events, want %d", workers, got.Events, ref.Events)
-		}
-		if r := got.Report().String(); r != refReport {
-			t.Fatalf("workers=%d: report diverged from workers=1:\n%s\n--- want ---\n%s",
-				workers, r, refReport)
-		}
-		if !reflect.DeepEqual(got.Admissions, ref.Admissions) {
-			t.Fatalf("workers=%d: admission log diverged:\n%+v\nwant:\n%+v",
-				workers, got.Admissions, ref.Admissions)
-		}
-		if !reflect.DeepEqual(got.Routes, ref.Routes) {
-			t.Fatalf("workers=%d: route table diverged", workers)
-		}
+	got, err := shardedProbe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Events != ref.Events {
+		t.Fatalf("%d kernel events, want %d", got.Events, ref.Events)
+	}
+	if r, want := got.Report().String(), ref.Report().String(); r != want {
+		t.Fatalf("report diverged between identical runs:\n%s\n--- want ---\n%s", r, want)
+	}
+	if !reflect.DeepEqual(got.Admissions, ref.Admissions) {
+		t.Fatalf("admission log diverged:\n%+v\nwant:\n%+v", got.Admissions, ref.Admissions)
+	}
+	if !reflect.DeepEqual(got.Routes, ref.Routes) {
+		t.Fatal("route table diverged")
 	}
 }
 
-// TestShardedRoutedScatternetAcrossWorkers: a spec mixing a routed
-// (single-shard) pair with independent piconets still merges
-// deterministically at any worker count — including the route table.
-func TestShardedRoutedScatternetAcrossWorkers(t *testing.T) {
-	build := func(workers int) (*Result, error) {
+// TestShardedRoutedScatternetDeterministic: a spec mixing a routed
+// (single-shard) pair with independent piconets merges deterministically
+// — including the route table.
+func TestShardedRoutedScatternetDeterministic(t *testing.T) {
+	build := func() (*Result, error) {
 		spec := Bridged(BridgedConfig{Hops: 2, Duration: 2 * time.Second})
 		extra := Scatternet(ScatternetConfig{Piconets: 2, Duration: spec.Duration})
 		for i := range extra.Piconets {
@@ -228,66 +218,56 @@ func TestShardedRoutedScatternetAcrossWorkers(t *testing.T) {
 			spec.Piconets = append(spec.Piconets, ps)
 		}
 		spec.Interference = InterferenceSpec{Enabled: true}
-		spec.KernelWorkers = workers
 		return Run(spec)
 	}
-	ref, err := build(1)
+	ref, err := build()
 	if err != nil {
-		t.Fatalf("workers=1: %v", err)
+		t.Fatal(err)
 	}
 	if len(ref.Routes) == 0 {
 		t.Fatal("probe produced no route results")
 	}
-	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-		got, err := build(workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got.Report().String() != ref.Report().String() {
-			t.Fatalf("workers=%d: report diverged from workers=1", workers)
-		}
-		if !reflect.DeepEqual(got.Routes, ref.Routes) {
-			t.Fatalf("workers=%d: route table diverged", workers)
-		}
+	got, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Report().String() != ref.Report().String() {
+		t.Fatal("report diverged between identical runs")
+	}
+	if !reflect.DeepEqual(got.Routes, ref.Routes) {
+		t.Fatal("route table diverged")
 	}
 }
 
-// TestShardedFingerprintIgnoresWorkers: KernelWorkers must never enter
-// the canonical rendering — the fingerprint (and so every cache key) is
-// identical at any worker count.
-func TestShardedFingerprintIgnoresWorkers(t *testing.T) {
-	spec := Scatternet(ScatternetConfig{Piconets: 3, Duration: time.Second})
-	ref := spec.Fingerprint()
-	for _, workers := range []int{1, 2, 16} {
-		s := spec
-		s.KernelWorkers = workers
-		if got := s.Fingerprint(); got != ref {
-			t.Fatalf("KernelWorkers=%d changed the fingerprint: %s vs %s", workers, got, ref)
-		}
-	}
-}
-
-// TestShardedRaceHammer drives the sharded runner hot with the maximum
-// worker multiplexing — the -race acceptance test for the scenario-level
-// epoch exchange (medium snapshot swap) and merge paths.
+// TestShardedRaceHammer runs one sharded spec from GOMAXPROCS+2
+// goroutines at once, the way the harness pool runs sharded simulations
+// side by side — the -race acceptance test that concurrent runs share
+// no mutable state (medium snapshot swap, merge, admission logs).
 func TestShardedRaceHammer(t *testing.T) {
 	spec := Scatternet(ScatternetConfig{
 		Piconets: 6,
 		OnlineGS: 1,
 		Duration: 1500 * time.Millisecond,
 	})
-	spec.KernelWorkers = runtime.GOMAXPROCS(0) + 2
 	ref, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		got, err := Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Report().String() != ref.Report().String() {
-			t.Fatalf("iteration %d: report diverged", i)
-		}
+	want := ref.Report().String()
+	var wg sync.WaitGroup
+	for g := 0; g < runtime.GOMAXPROCS(0)+2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got, err := Run(spec)
+			if err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+				return
+			}
+			if got.Report().String() != want {
+				t.Errorf("goroutine %d: report diverged", g)
+			}
+		}(g)
 	}
+	wg.Wait()
 }

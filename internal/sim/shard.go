@@ -1,33 +1,26 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
-
 // ShardSet drives a fixed set of independent Simulators ("shards") to a
 // common horizon in lockstep epochs: every shard runs its own event
-// kernel up to the epoch boundary, then all shards synchronize at a
-// barrier where cross-shard mailboxes drain and the caller's exchange
-// hook runs single-threaded. This is the conservative
-// parallel-discrete-event-simulation shape: shards may interact only
-// through state swapped at barriers, so the epoch length is the
-// lookahead the coupling model must tolerate.
+// kernel up to the epoch boundary, then all shards meet at a barrier
+// where cross-shard mailboxes drain and the caller's exchange hook runs.
+// This is the conservative parallel-discrete-event-simulation shape:
+// shards may interact only through state swapped at barriers, so the
+// epoch length is the lookahead the coupling model must tolerate.
 //
-// Determinism is the design constraint, exactly as for a single
-// Simulator. Shards share no mutable state while an epoch runs (each
-// kernel, its RNG and its seq counter are private), mailbox posts drain
-// at the barrier in (source shard, post order) — an order fixed by the
-// shards' own deterministic execution — and the exchange hook runs on
-// one goroutine with every shard clock parked at the boundary. The
-// worker count therefore multiplexes shard execution without touching
-// any ordering input: results are byte-identical at any worker count,
-// including workers == 1.
+// Shards step sequentially on the calling goroutine, in index order.
+// Multiplexing them onto worker goroutines never beat one worker on any
+// measured piconet count (4 to 128 piconets), and a sweep already runs
+// one simulation per CPU, so per-shard threads would only oversubscribe
+// the machine. Determinism is the design constraint, exactly as for a
+// single Simulator: each kernel, its RNG and its seq counter are
+// private, mailbox posts drain at the barrier in (source shard, post
+// order), and the exchange hook runs with every shard clock parked at
+// the boundary.
 type ShardSet struct {
 	shards []*Simulator
 	// mail[src] buffers the posts shard src made during the current
-	// epoch. Only shard src's worker goroutine appends to it while an
-	// epoch runs; the barrier drains all buffers single-threaded.
+	// epoch; the barrier drains all buffers.
 	mail [][]mailPost
 }
 
@@ -55,17 +48,16 @@ func (ss *ShardSet) Shard(i int) *Simulator { return ss.shards[i] }
 // epoch barrier, stamped with the sending epoch: the event is scheduled
 // at max(at, barrier time), so a post can never land in a destination
 // shard's past even when the sender ran ahead of it inside the epoch.
-// Post is safe to call from shard src's goroutine while an epoch runs
-// (each source owns its own buffer) and from the exchange hook
-// (src is then ignored in favor of deterministic barrier order anyway).
+// Post may be called from shard src's handlers while an epoch runs and
+// from the exchange hook.
 func (ss *ShardSet) Post(src, dst int, at Time, fn Handler) {
 	ss.mail[src] = append(ss.mail[src], mailPost{dst: dst, at: at, fn: fn})
 }
 
 // drainMail schedules every buffered post into its destination kernel.
-// Runs single-threaded at a barrier with all shard clocks at end;
-// source order then post order keeps destination seq assignment a pure
-// function of the shards' deterministic execution.
+// Runs at a barrier with all shard clocks at end; source order then
+// post order keeps destination seq assignment a pure function of the
+// shards' deterministic execution.
 func (ss *ShardSet) drainMail(end Time) {
 	for src := range ss.mail {
 		for _, p := range ss.mail[src] {
@@ -81,18 +73,16 @@ func (ss *ShardSet) drainMail(end Time) {
 
 // RunEpochs drives every shard to horizon in lockstep epochs of the
 // given length (epoch <= 0 means a single epoch spanning the whole
-// horizon), running shard kernels on up to `workers` goroutines
-// (workers <= 1 runs them inline on the calling goroutine, with no
-// goroutines at all). After every epoch — including the final one — the
-// barrier drains cross-shard mailboxes and then calls exchange (when
-// non-nil) single-threaded with every shard clock at the boundary.
+// horizon). After every epoch — including the final one — the barrier
+// drains cross-shard mailboxes and then calls exchange (when non-nil)
+// with every shard clock at the boundary.
 //
 // The returned slice holds one error per shard: ErrStopped for shards
-// that called Stop, a wrapped panic for shards whose handlers panicked.
-// The first epoch in which any shard fails is the last epoch run — the
-// surviving shards still complete it (the barrier is the abort point,
-// keeping the set of fired events independent of the worker count).
-func (ss *ShardSet) RunEpochs(horizon, epoch Time, workers int, exchange func(end Time)) []error {
+// that called Stop. The first epoch in which any shard fails is the last
+// epoch run; the surviving shards still complete it, so the barrier is
+// the abort point. A handler panic propagates to the caller unchanged,
+// as it would from Simulator.Run.
+func (ss *ShardSet) RunEpochs(horizon, epoch Time, exchange func(end Time)) []error {
 	errs := make([]error, len(ss.shards))
 	if len(ss.shards) == 0 {
 		return errs
@@ -100,64 +90,14 @@ func (ss *ShardSet) RunEpochs(horizon, epoch Time, workers int, exchange func(en
 	if epoch <= 0 {
 		epoch = horizon
 	}
-	if workers > len(ss.shards) {
-		workers = len(ss.shards)
-	}
-
-	runShard := func(i int, end Time) {
-		defer func() {
-			if r := recover(); r != nil {
-				errs[i] = fmt.Errorf("sim: shard %d panicked: %v", i, r)
-			}
-		}()
-		if errs[i] == nil {
-			errs[i] = ss.shards[i].Run(end)
-		}
-	}
-
-	var tasks chan int
-	var done chan struct{}
-	var end Time
-	if workers > 1 {
-		tasks = make(chan int)
-		done = make(chan struct{})
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range tasks {
-					runShard(i, end)
-					done <- struct{}{}
-				}
-			}()
-		}
-		defer func() {
-			close(tasks)
-			wg.Wait()
-		}()
-	}
-
 	for start := Time(0); start < horizon || start == 0; start += epoch {
-		end = start + epoch
+		end := start + epoch
 		if end > horizon {
 			end = horizon
 		}
-		if workers > 1 {
-			// The sends below happen-before each worker's Run, and every
-			// receive happens-after it: the barrier is a full memory fence
-			// between epochs, so the exchange hook reads settled state.
-			go func(n int) {
-				for i := 0; i < n; i++ {
-					tasks <- i
-				}
-			}(len(ss.shards))
-			for range ss.shards {
-				<-done
-			}
-		} else {
-			for i := range ss.shards {
-				runShard(i, end)
+		for i, s := range ss.shards {
+			if errs[i] == nil {
+				errs[i] = s.Run(end)
 			}
 		}
 		ss.drainMail(end)
