@@ -57,16 +57,9 @@ func TestRunCacheMemoryRoundTrip(t *testing.T) {
 // TestRunCacheDiskRoundTrip: a fresh cache over the same directory (a new
 // process, in effect) replays the sweep from disk with every statistic —
 // including delay quantiles backed by the gob-serialized samples — exact.
-// The sweep carries a sharded scatternet run too, whose replay must also
-// match a fresh, uncached simulation.
 func TestRunCacheDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	sw := shortSweep(t)
-	sw.Runs = append(sw.Runs, harness.Run{
-		Index: len(sw.Runs),
-		Cell:  "scatter",
-		Spec:  scenario.Scatternet(scenario.ScatternetConfig{Piconets: 3, Duration: 2 * time.Second}),
-	})
 	cold, err := harness.Execute(sw.Runs, harness.Options{
 		Cache: newCache(t, harness.CacheConfig{Dir: dir}),
 	})
@@ -84,13 +77,6 @@ func TestRunCacheDiskRoundTrip(t *testing.T) {
 	st := fresh.Stats()
 	if st.DiskHits != uint64(len(sw.Runs)) {
 		t.Fatalf("stats = %+v, want %d disk hits", st, len(sw.Runs))
-	}
-	uncached, err := harness.Execute(sw.Runs[len(sw.Runs)-1:], harness.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uncached[0].Result.Report().String() != warm[len(warm)-1].Result.Report().String() {
-		t.Fatal("fresh sharded simulation diverged from its disk replay")
 	}
 	for i := range warm {
 		// A fresh run stores the defaulted spec; a cache hit must
@@ -127,6 +113,44 @@ func TestRunCacheDiskRoundTrip(t *testing.T) {
 					i, j, a.Admitted[j], b.Admitted[j])
 			}
 		}
+	}
+}
+
+// TestCacheReplayAcrossKernelWorkers: a sharded scatternet run (one
+// kernel per piconet) warmed into the cache replays on a second pass,
+// and the replayed bytes match both the run that warmed it and a fresh,
+// uncached simulation.
+func TestCacheReplayAcrossKernelWorkers(t *testing.T) {
+	runs := []harness.Run{{
+		Index: 0,
+		Cell:  "scatter",
+		Spec:  scenario.Scatternet(scenario.ScatternetConfig{Piconets: 3, Duration: 2 * time.Second}),
+	}}
+	cache := newCache(t, harness.CacheConfig{})
+	cold, err := harness.Execute(runs, harness.Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold[0].CacheHit {
+		t.Fatal("cold run reported a cache hit")
+	}
+	warm, err := harness.Execute(runs, harness.Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm[0].CacheHit {
+		t.Fatal("second pass missed the warm cache")
+	}
+	fresh, err := harness.Execute(runs, harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldR := cold[0].Result.Report().String()
+	if warm[0].Result.Report().String() != coldR {
+		t.Fatal("cache replay diverged from the run that warmed it")
+	}
+	if fresh[0].Result.Report().String() != coldR {
+		t.Fatal("fresh sharded simulation diverged from the cached bytes")
 	}
 }
 
