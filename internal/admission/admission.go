@@ -144,30 +144,65 @@ func (cfg Config) successProbFor(r Request) float64 {
 
 // DeriveParams computes the polling parameters of a request.
 func DeriveParams(req Request, cfg Config) (Params, error) {
+	return deriveParams(req, cfg, nil)
+}
+
+// deriveParams is DeriveParams with the rate-independent segmentation
+// terms looked up in (and added to) memo; a nil memo computes them afresh.
+func deriveParams(req Request, cfg Config, memo segMemo) (Params, error) {
 	if err := req.validate(); err != nil {
 		return Params{}, err
 	}
-	policy := req.Policy
-	if policy == nil {
-		policy = segmentation.BestFit{}
-	}
-	eff, err := segmentation.MinPollEfficiency(policy, req.Spec.MinPolicedUnit, req.Spec.MaxTransferUnit, req.Allowed)
+	w, err := memo.worstCase(req)
 	if err != nil {
 		return Params{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	maxSeg, err := segmentation.MaxSegmentSlots(policy, req.Spec.MinPolicedUnit, req.Spec.MaxTransferUnit, req.Allowed)
-	if err != nil {
-		return Params{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	interval := time.Duration(eff.BytesPerPoll / req.Rate * float64(time.Second))
-	exchange := exchangeTime(maxSeg, req.Dir, cfg)
 	return Params{
-		EtaMin:          eff.BytesPerPoll,
-		WorstSize:       eff.Size,
-		MaxSegmentSlots: maxSeg,
-		Interval:        interval,
-		Exchange:        exchange,
+		EtaMin:          w.BytesPerPoll,
+		WorstSize:       w.Size,
+		MaxSegmentSlots: w.MaxSlots,
+		Interval:        time.Duration(w.BytesPerPoll / req.Rate * float64(time.Second)),
+		Exchange:        exchangeTime(w.MaxSlots, req.Dir, cfg),
 	}, nil
+}
+
+// segKey identifies the segmentation terms of a request under a built-in
+// policy: they depend on nothing but the policy, the packet-size range and
+// the allowed types.
+type segKey struct {
+	policy   segmentation.Policy // BestFit{} or GreedyLargest{}
+	min, max int
+	allowed  baseband.TypeSet
+}
+
+// segMemo memoises segmentation.WorstCase per segKey. A controller and
+// every controller derived from it (clones, and the successive plans of
+// PlanForDelay*) share one memo, since a flow's terms do not change with
+// the rates being searched for. Requests under any other policy bypass it:
+// their terms may depend on state the key does not capture, and their
+// values need not be comparable.
+type segMemo map[segKey]segmentation.Worst
+
+// worstCase returns the segmentation terms of req, from m when req uses a
+// built-in policy.
+func (m segMemo) worstCase(req Request) (segmentation.Worst, error) {
+	policy := req.Policy
+	switch policy.(type) {
+	case nil:
+		policy = segmentation.BestFit{}
+	case segmentation.BestFit, segmentation.GreedyLargest:
+	default:
+		return segmentation.WorstCase(policy, req.Spec.MinPolicedUnit, req.Spec.MaxTransferUnit, req.Allowed)
+	}
+	key := segKey{policy, req.Spec.MinPolicedUnit, req.Spec.MaxTransferUnit, req.Allowed}
+	if w, ok := m[key]; ok {
+		return w, nil
+	}
+	w, err := segmentation.WorstCase(policy, key.min, key.max, key.allowed)
+	if err == nil && m != nil {
+		m[key] = w
+	}
+	return w, err
 }
 
 // exchangeTime returns a flow's worst-case exchange duration. With the

@@ -408,3 +408,45 @@ func BenchmarkFig3Admission(b *testing.B) {
 		}
 	}
 }
+
+// paperDelayRequests is the paper's §4.1 flow set, every flow asking for
+// the same delay target.
+func paperDelayRequests(target time.Duration) []DelayRequest {
+	return []DelayRequest{
+		{Request: paperRequest(1, 1, piconet.Up, 0), Target: target},
+		{Request: paperRequest(2, 2, piconet.Down, 0), Target: target},
+		{Request: paperRequest(3, 2, piconet.Up, 0), Target: target},
+		{Request: paperRequest(4, 3, piconet.Up, 0), Target: target},
+	}
+}
+
+// BenchmarkPlanForDelayBestEffort plans the paper's flow set at a 34 ms
+// target, below the lowest-priority flow's supportable minimum, so the
+// rate search runs to the feasibility edge as in the Fig. 5 sweep.
+func BenchmarkPlanForDelayBestEffort(b *testing.B) {
+	reqs := paperDelayRequests(34 * time.Millisecond)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := PlanForDelayBestEffort(reqs, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAdmitForDelay negotiates the fourth paper flow online against
+// a controller holding the other three, as a mid-run GS arrival does.
+func BenchmarkAdmitForDelay(b *testing.B) {
+	reqs := paperDelayRequests(40 * time.Millisecond)
+	base := NewController(Config{})
+	for _, dr := range reqs[:3] {
+		if _, err := base.AdmitForDelay(dr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := base.clone().AdmitForDelay(reqs[3]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -75,6 +75,9 @@ type Controller struct {
 	// reproduces the naive routine (each flow its own poll stream) for
 	// the paper's "piggybacking accepts more flows" comparison.
 	piggyback bool
+	// memo holds the flows' rate-independent segmentation terms, shared
+	// with every controller cloned or planned from this one.
+	memo segMemo
 }
 
 // ControllerOption configures a Controller.
@@ -88,7 +91,7 @@ func WithoutPiggybacking() ControllerOption {
 
 // NewController returns an empty admission controller.
 func NewController(cfg Config, opts ...ControllerOption) *Controller {
-	c := &Controller{cfg: cfg, piggyback: true}
+	c := &Controller{cfg: cfg, piggyback: true, memo: make(segMemo)}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -140,7 +143,7 @@ func (c *Controller) Admit(req Request) (*PlannedFlow, error) {
 	if _, dup := c.Find(req.ID); dup {
 		return nil, fmt.Errorf("%w: %d", ErrDuplicateFlow, req.ID)
 	}
-	params, err := DeriveParams(req, c.cfg)
+	params, err := deriveParams(req, c.cfg, c.memo)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +257,7 @@ func (c *Controller) Admit(req Request) (*PlannedFlow, error) {
 // clone returns a deep copy of the controller: trial admissions against
 // the copy leave the original untouched.
 func (c *Controller) clone() *Controller {
-	n := &Controller{cfg: c.cfg, piggyback: c.piggyback}
+	n := &Controller{cfg: c.cfg, piggyback: c.piggyback, memo: c.memo}
 	for _, g := range c.groups {
 		cp := &group{}
 		p := *g.primary

@@ -67,8 +67,10 @@ func PlanForDelay(reqs []DelayRequest, cfg Config, opts ...ControllerOption) (*C
 
 	const maxIters = 50
 	var ctrl *Controller
+	memo := make(segMemo)
 	for iter := 0; iter < maxIters; iter++ {
 		c := NewController(cfg, opts...)
+		c.memo = memo
 		for i, dr := range reqs {
 			req := dr.Request
 			req.Rate = rates[i]
@@ -133,8 +135,10 @@ func PlanForDelayBestEffort(reqs []DelayRequest, cfg Config, opts ...ControllerO
 		}
 		rates[i] = dr.Request.Spec.TokenRate / cfg.successProbFor(dr.Request)
 	}
+	memo := make(segMemo)
 	admitAll := func(rs []float64) (*Controller, error) {
 		c := NewController(cfg, opts...)
+		c.memo = memo
 		for i, dr := range reqs {
 			req := dr.Request
 			req.Rate = rs[i]

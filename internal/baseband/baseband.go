@@ -91,15 +91,23 @@ func (t PacketType) Valid() bool {
 	return t >= TypeNULL && int(t) <= numPacketTypes
 }
 
-func (t PacketType) info() packetInfo {
+// info returns the static properties of t. An invalid type maps to the
+// zero entry packetInfos[0]: no slots, no payload, neither ACL nor SCO.
+func (t PacketType) info() *packetInfo {
 	if !t.Valid() {
-		return packetInfo{name: fmt.Sprintf("PacketType(%d)", int(t))}
+		t = 0
 	}
-	return packetInfos[t]
+	return &packetInfos[t]
 }
 
-// String returns the specification name of the packet type (e.g. "DH3").
-func (t PacketType) String() string { return t.info().name }
+// String returns the specification name of the packet type (e.g. "DH3"),
+// or "PacketType(n)" for an invalid type.
+func (t PacketType) String() string {
+	if !t.Valid() {
+		return fmt.Sprintf("PacketType(%d)", int(t))
+	}
+	return packetInfos[t].name
+}
 
 // Slots returns the number of time slots the packet occupies on air.
 func (t PacketType) Slots() int { return t.info().slots }
@@ -217,13 +225,8 @@ func (s TypeSet) String() string {
 // MaxPayload returns the largest payload capacity among the set's ACL
 // members, or zero if the set has no ACL members.
 func (s TypeSet) MaxPayload() int {
-	maxP := 0
-	for _, t := range payloadOrder {
-		if s.Contains(t) && t.IsACL() && t.Payload() > maxP {
-			maxP = t.Payload()
-		}
-	}
-	return maxP
+	t, _ := s.LargestACL()
+	return t.Payload()
 }
 
 // MaxSlots returns the largest slot occupancy among the set's members, or
@@ -238,13 +241,18 @@ func (s TypeSet) MaxSlots() int {
 	return maxS
 }
 
+// aclByPayload lists the ACL packet types in ascending payload order. ACL
+// payloads are distinct, so the order has no ties; the segmentation hot
+// path walks it with one bit test per type.
+var aclByPayload = [...]PacketType{TypeDM1, TypeDH1, TypeDM3, TypeDH3, TypeDM5, TypeDH5}
+
 // SmallestFitting returns the ACL member of the set with the smallest
 // payload capacity that still fits n bytes. ok is false when no member fits
 // (callers should then send the largest member and carry the remainder in
 // further packets).
 func (s TypeSet) SmallestFitting(n int) (PacketType, bool) {
-	for _, t := range payloadOrder { // ascending payload order
-		if s.Contains(t) && t.IsACL() && t.Payload() >= n {
+	for _, t := range aclByPayload {
+		if s&(1<<uint(t)) != 0 && packetInfos[t].payload >= n {
 			return t, true
 		}
 	}
@@ -254,14 +262,12 @@ func (s TypeSet) SmallestFitting(n int) (PacketType, bool) {
 // LargestACL returns the ACL member with the largest payload, ok=false when
 // the set has no ACL member.
 func (s TypeSet) LargestACL() (PacketType, bool) {
-	var best PacketType
-	ok := false
-	for _, t := range payloadOrder {
-		if s.Contains(t) && t.IsACL() && (!ok || t.Payload() > best.Payload()) {
-			best, ok = t, true
+	for i := len(aclByPayload) - 1; i >= 0; i-- {
+		if t := aclByPayload[i]; s&(1<<uint(t)) != 0 {
+			return t, true
 		}
 	}
-	return best, ok
+	return 0, false
 }
 
 // Common type sets.

@@ -85,6 +85,58 @@ func TestInvalidPacketType(t *testing.T) {
 		if typ.Slots() != 0 || typ.Payload() != 0 {
 			t.Errorf("invalid type %d has nonzero slots/payload", int(typ))
 		}
+		if typ.IsACL() || typ.IsSCO() || typ.HasFEC() {
+			t.Errorf("invalid type %d reports ACL/SCO/FEC", int(typ))
+		}
+	}
+	if got := PacketType(12).String(); got != "PacketType(12)" {
+		t.Errorf("PacketType(12).String() = %q", got)
+	}
+	if got := PacketType(-1).String(); got != "PacketType(-1)" {
+		t.Errorf("PacketType(-1).String() = %q", got)
+	}
+}
+
+// TestTypeSetQueriesMatchBruteForce checks the set queries against a
+// direct walk over packetInfos for every set of the 12 low bits (bit 0
+// and any bit above HV3 name no valid type) and every size in 0..400.
+func TestTypeSetQueriesMatchBruteForce(t *testing.T) {
+	for bits := 0; bits < 1<<12; bits++ {
+		s := TypeSet(bits)
+		var largest PacketType
+		maxSlots, maxPayload := 0, 0
+		for i, info := range packetInfos {
+			if i == 0 || bits&(1<<i) == 0 {
+				continue
+			}
+			maxSlots = max(maxSlots, info.slots)
+			if info.acl && info.payload > maxPayload {
+				largest, maxPayload = PacketType(i), info.payload
+			}
+		}
+		if got, ok := s.LargestACL(); got != largest || ok != (largest != 0) {
+			t.Fatalf("%#x.LargestACL() = %v, %v; want %v", bits, got, ok, largest)
+		}
+		if got := s.MaxSlots(); got != maxSlots {
+			t.Fatalf("%#x.MaxSlots() = %d, want %d", bits, got, maxSlots)
+		}
+		if got := s.MaxPayload(); got != maxPayload {
+			t.Fatalf("%#x.MaxPayload() = %d, want %d", bits, got, maxPayload)
+		}
+		for n := 0; n <= 400; n++ {
+			var want PacketType
+			for i, info := range packetInfos {
+				if i == 0 || bits&(1<<i) == 0 || !info.acl || info.payload < n {
+					continue
+				}
+				if want == 0 || info.payload < want.Payload() {
+					want = PacketType(i)
+				}
+			}
+			if got, ok := s.SmallestFitting(n); got != want || ok != (want != 0) {
+				t.Fatalf("%#x.SmallestFitting(%d) = %v, %v; want %v", bits, n, got, ok, want)
+			}
+		}
 	}
 }
 

@@ -33,6 +33,11 @@ type PFP struct {
 	state   map[piconet.SlaveID]*pfpSlave
 	inited  bool
 	pending piconet.SlaveID
+	// servedSum and weightSum are the running totals over state of
+	// servedSlots and of the slaves' weights, kept so FairShareFraction
+	// needs no pass over the map. Slot counts are whole numbers, so
+	// servedSum is exact in any order.
+	servedSum, weightSum float64
 
 	// activeThreshold is the prediction level above which a slave is
 	// treated as having data.
@@ -107,6 +112,7 @@ func (p *PFP) slave(s piconet.SlaveID) *pfpSlave {
 	if !ok {
 		st = &pfpSlave{lambda: 50} // optimistic prior: 50 packets/s
 		p.state[s] = st
+		p.weightSum += p.weight(s)
 	}
 	return st
 }
@@ -134,15 +140,10 @@ func (p *PFP) Predict(now sim.Time, v View, s piconet.SlaveID) float64 {
 // FairShareFraction returns served/(weight-normalised total): below 1 means
 // the slave has received less than its fair share (exposed for tests).
 func (p *PFP) FairShareFraction(s piconet.SlaveID) float64 {
-	var total, weightSum float64
-	for id, st := range p.state {
-		total += st.servedSlots
-		weightSum += p.weight(id)
-	}
-	if total == 0 || weightSum == 0 {
+	if p.servedSum == 0 || p.weightSum == 0 {
 		return 0
 	}
-	fairShare := total * p.weight(s) / weightSum
+	fairShare := p.servedSum * p.weight(s) / p.weightSum
 	if fairShare == 0 {
 		return math.Inf(1)
 	}
@@ -211,4 +212,5 @@ func (p *PFP) Observe(o Outcome) {
 	st.lastPollEnd = o.End
 	st.moreData = o.UpMoreData
 	st.servedSlots += float64(o.Slots)
+	p.servedSum += float64(o.Slots)
 }

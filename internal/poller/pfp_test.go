@@ -2,6 +2,7 @@ package poller
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -159,5 +160,98 @@ func TestPFPIdleSlaveEventuallyProbed(t *testing.T) {
 	}
 	if !polled2 {
 		t.Fatal("idle slave never probed over 5 simulated seconds")
+	}
+}
+
+// bruteFairShare recomputes FairShareFraction by a pass over state, as
+// PFP did before it kept running sums.
+func bruteFairShare(p *PFP, s piconet.SlaveID) float64 {
+	var total, weightSum float64
+	for id, st := range p.state {
+		total += st.servedSlots
+		weightSum += p.weight(id)
+	}
+	if total == 0 || weightSum == 0 {
+		return 0
+	}
+	fairShare := total * p.weight(s) / weightSum
+	if fairShare == 0 {
+		return math.Inf(1)
+	}
+	return p.slave(s).servedSlots / fairShare
+}
+
+// bruteNext is PFP.Next with every fair share recomputed by bruteFairShare.
+func bruteNext(p *PFP, now sim.Time, v View) piconet.SlaveID {
+	slaves := v.Slaves()
+	if !p.inited {
+		for _, s := range slaves {
+			p.slave(s)
+		}
+		p.inited = true
+	}
+	var best piconet.SlaveID
+	bestFrac := math.Inf(1)
+	for _, s := range slaves {
+		if p.Predict(now, v, s) < p.activeThreshold {
+			continue
+		}
+		if frac := bruteFairShare(p, s); frac < bestFrac {
+			best, bestFrac = s, frac
+		}
+	}
+	if best != 0 {
+		return best
+	}
+	best = slaves[0]
+	for _, s := range slaves[1:] {
+		if p.slave(s).lastPollEnd < p.slave(best).lastPollEnd {
+			best = s
+		}
+	}
+	return best
+}
+
+// TestPFPRunningSumsMatchBruteForce drives a PFP through random outcomes,
+// with slave 4 joining the view mid-run so its state is created inside
+// Next, and checks FairShareFraction and every pick against the
+// brute-force recomputation over state. The weights are integers, so the
+// brute-force sums are exact in any map order.
+func TestPFPRunningSumsMatchBruteForce(t *testing.T) {
+	weights := map[piconet.SlaveID]float64{1: 2, 2: 1, 3: 3}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p, ref := NewPFP(weights), NewPFP(weights)
+		v := newMockView(1, 2, 3)
+		now := sim.Time(0)
+		for i := 0; i < 2000; i++ {
+			if i == 700 {
+				v.slaves = append(v.slaves, 4)
+			}
+			for _, s := range v.slaves {
+				v.backlog[s] = rng.Intn(2)
+			}
+			got, ok := p.Next(now, v)
+			want := bruteNext(ref, now, v)
+			if !ok || got != want {
+				t.Fatalf("seed %d step %d: Next = %d (%v), brute force %d", seed, i, got, ok, want)
+			}
+			slots := 2 + 2*rng.Intn(3)
+			now += sim.Time(slots) * 625 * time.Microsecond
+			o := Outcome{Slave: got, End: now, Slots: slots, UpMoreData: rng.Intn(3) == 0}
+			if rng.Intn(2) == 0 {
+				o.UpBytes = 1 + rng.Intn(176)
+			}
+			p.Observe(o)
+			ref.Observe(o)
+			for s := range p.state {
+				if got, want := p.FairShareFraction(s), bruteFairShare(p, s); got != want {
+					t.Fatalf("seed %d step %d: FairShareFraction(%d) = %v, brute force %v", seed, i, s, got, want)
+				}
+			}
+		}
+		if len(p.state) != 4 {
+			t.Fatalf("seed %d: %d slaves in state, want 4", seed, len(p.state))
+		}
 	}
 }

@@ -177,13 +177,22 @@ func Count(p Policy, size int, allowed baseband.TypeSet) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(plan) == 0 {
-		return 0, ErrEmptySeg
-	}
-	if plan.TotalBytes() != size {
-		return 0, fmt.Errorf("%w: plan carries %d of %d bytes", ErrShortPlan, plan.TotalBytes(), size)
+	if err := checkPlan(plan, size); err != nil {
+		return 0, err
 	}
 	return len(plan), nil
+}
+
+// checkPlan verifies that a policy's plan for a packet of size bytes is
+// non-empty and carries exactly the packet.
+func checkPlan(plan Plan, size int) error {
+	if len(plan) == 0 {
+		return ErrEmptySeg
+	}
+	if plan.TotalBytes() != size {
+		return fmt.Errorf("%w: plan carries %d of %d bytes", ErrShortPlan, plan.TotalBytes(), size)
+	}
+	return nil
 }
 
 // Efficiency is a poll-efficiency sample: the packet size achieving it and
@@ -197,31 +206,61 @@ type Efficiency struct {
 	BytesPerPoll float64
 }
 
+// Worst holds the worst-case segmentation terms of a packet-size range
+// that the paper's admission analysis needs.
+type Worst struct {
+	// Efficiency is the minimum poll efficiency eta_min (paper eq. 4)
+	// with the packet size achieving it.
+	Efficiency
+	// MaxSlots is the largest slot occupancy of any segment.
+	MaxSlots int
+}
+
+// WorstCase computes the minimum poll efficiency and the largest segment
+// over all packet sizes in [minSize, maxSize] in one pass: one plan per
+// size, written into a reused buffer when the policy is an Appender. Every
+// plan must be non-empty and carry exactly its packet.
+func WorstCase(p Policy, minSize, maxSize int, allowed baseband.TypeSet) (Worst, error) {
+	if p == nil {
+		return Worst{}, ErrNilPolicy
+	}
+	if minSize <= 0 || minSize > maxSize {
+		return Worst{}, ErrBadRange
+	}
+	ap, _ := p.(Appender)
+	var w Worst
+	var plan Plan
+	for size := minSize; size <= maxSize; size++ {
+		var err error
+		if ap != nil {
+			plan, err = ap.SegmentAppend(plan[:0], size, allowed)
+		} else {
+			plan, err = p.Segment(size, allowed)
+		}
+		if err != nil {
+			return Worst{}, err
+		}
+		if err := checkPlan(plan, size); err != nil {
+			return Worst{}, err
+		}
+		eta := float64(size) / float64(len(plan))
+		if size == minSize || eta < w.BytesPerPoll {
+			w.Efficiency = Efficiency{Size: size, Segments: len(plan), BytesPerPoll: eta}
+		}
+		for _, s := range plan {
+			w.MaxSlots = max(w.MaxSlots, s.Type.Slots())
+		}
+	}
+	return w, nil
+}
+
 // MinPollEfficiency computes eta_min over all packet sizes in [minSize,
 // maxSize] (paper eq. 4): the minimum, over the flow's possible packet
 // sizes, of useful bytes per poll. The worst case pins the poll interval
 // t = eta_min / R.
 func MinPollEfficiency(p Policy, minSize, maxSize int, allowed baseband.TypeSet) (Efficiency, error) {
-	if p == nil {
-		return Efficiency{}, ErrNilPolicy
-	}
-	if minSize <= 0 || minSize > maxSize {
-		return Efficiency{}, ErrBadRange
-	}
-	best := Efficiency{}
-	found := false
-	for size := minSize; size <= maxSize; size++ {
-		n, err := Count(p, size, allowed)
-		if err != nil {
-			return Efficiency{}, err
-		}
-		eta := float64(size) / float64(n)
-		if !found || eta < best.BytesPerPoll {
-			best = Efficiency{Size: size, Segments: n, BytesPerPoll: eta}
-			found = true
-		}
-	}
-	return best, nil
+	w, err := WorstCase(p, minSize, maxSize, allowed)
+	return w.Efficiency, err
 }
 
 // MaxSegmentSlots returns the largest slot occupancy of any segment the
@@ -229,26 +268,6 @@ func MinPollEfficiency(p Policy, minSize, maxSize int, allowed baseband.TypeSet)
 // one-direction component of the paper's per-flow worst segment
 // transmission time xi_i.
 func MaxSegmentSlots(p Policy, minSize, maxSize int, allowed baseband.TypeSet) (int, error) {
-	if p == nil {
-		return 0, ErrNilPolicy
-	}
-	if minSize <= 0 || minSize > maxSize {
-		return 0, ErrBadRange
-	}
-	maxSlots := 0
-	for size := minSize; size <= maxSize; size++ {
-		plan, err := p.Segment(size, allowed)
-		if err != nil {
-			return 0, err
-		}
-		for _, s := range plan {
-			if s.Type.Slots() > maxSlots {
-				maxSlots = s.Type.Slots()
-			}
-		}
-	}
-	if maxSlots == 0 {
-		return 0, ErrEmptySeg
-	}
-	return maxSlots, nil
+	w, err := WorstCase(p, minSize, maxSize, allowed)
+	return w.MaxSlots, err
 }

@@ -175,6 +175,58 @@ func TestMaxSegmentSlots(t *testing.T) {
 	}
 }
 
+// segmentOnly hides a built-in policy's Appender fast path, so WorstCase
+// takes its Segment fallback.
+type segmentOnly struct{ Policy }
+
+// shortPolicy drops the last byte of every packet.
+type shortPolicy struct{}
+
+func (shortPolicy) Name() string { return "short" }
+
+func (shortPolicy) Segment(size int, allowed baseband.TypeSet) (Plan, error) {
+	return Plan{{Type: baseband.TypeDH1, Bytes: size - 1}}, nil
+}
+
+// TestWorstCaseMatchesSeparateWalks: the fused pass equals a per-size walk
+// that counts segments with Count and takes the largest segment of each
+// freshly allocated plan, for both built-in policies with and without the
+// Appender path; invalid plans still fail.
+func TestWorstCaseMatchesSeparateWalks(t *testing.T) {
+	sets := []baseband.TypeSet{baseband.PaperTypes, baseband.ACLAll, baseband.ACL1Slot, baseband.ACLMediumRate}
+	policies := []Policy{BestFit{}, GreedyLargest{}, segmentOnly{BestFit{}}, segmentOnly{GreedyLargest{}}}
+	for _, p := range policies {
+		for _, allowed := range sets {
+			for _, r := range [][2]int{{1, 1}, {1, 27}, {17, 400}, {144, 176}, {183, 184}, {300, 1000}} {
+				var want Worst
+				for size := r[0]; size <= r[1]; size++ {
+					n, err := Count(p, size, allowed)
+					if err != nil {
+						t.Fatalf("Count: %v", err)
+					}
+					if eta := float64(size) / float64(n); size == r[0] || eta < want.BytesPerPoll {
+						want.Efficiency = Efficiency{Size: size, Segments: n, BytesPerPoll: eta}
+					}
+					plan, _ := p.Segment(size, allowed)
+					for _, s := range plan {
+						want.MaxSlots = max(want.MaxSlots, s.Type.Slots())
+					}
+				}
+				got, err := WorstCase(p, r[0], r[1], allowed)
+				if err != nil || got != want {
+					t.Fatalf("WorstCase(%s, %v, %v) = %+v, %v; want %+v", p.Name(), r, allowed, got, err, want)
+				}
+			}
+		}
+	}
+	if _, err := WorstCase(shortPolicy{}, 10, 20, baseband.PaperTypes); !errors.Is(err, ErrShortPlan) {
+		t.Fatalf("short plan: err = %v", err)
+	}
+	if _, err := WorstCase(BestFit{}, 1, 10, baseband.NewTypeSet(baseband.TypeHV3)); !errors.Is(err, ErrNoACLTypes) {
+		t.Fatalf("no ACL types: err = %v", err)
+	}
+}
+
 // TestPropertyPlansCoverExactly: any policy plan carries exactly the packet
 // size, every segment respects its type capacity, and only allowed ACL types
 // appear.
