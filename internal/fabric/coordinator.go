@@ -371,7 +371,7 @@ func (c *Coordinator) prefillLocked(st *sweepState, i int) {
 	if c.cfg.Cache != nil {
 		if res, ok := c.cfg.Cache.Get(st.runs[i].Spec); ok {
 			rr := harness.RunResult{Run: st.runs[i], Result: res, CacheHit: true}
-			c.journalLocked(st, i, rr)
+			c.journalLocked(st, i, rr, nil)
 			c.resolveLocked(st, i, rr, &c.stats.FromCache)
 			return
 		}
@@ -400,20 +400,24 @@ func (c *Coordinator) resolveLocked(st *sweepState, i int, rr harness.RunResult,
 }
 
 // journalLocked appends run i's result to the journal (once per key).
-func (c *Coordinator) journalLocked(st *sweepState, i int, rr harness.RunResult) {
+// entry is the result's verified cache entry when the caller holds one
+// (a worker's /complete); nil encodes rr.Result.
+func (c *Coordinator) journalLocked(st *sweepState, i int, rr harness.RunResult, entry []byte) {
 	if c.journal == nil || c.written[st.keys[i]] {
 		return
 	}
 	rec := JournalRecord{Cell: st.runs[i].Cell, Rep: st.runs[i].Rep, Key: st.keys[i]}
-	if rr.Err != nil {
+	switch {
+	case rr.Err != nil:
 		rec.Err = rr.Err.Error()
-	} else {
-		entry, err := harness.EncodeResultEntry(st.keys[i], rr.Result)
-		if err != nil {
+	case entry != nil:
+		rec.Entry = entry
+	default:
+		var err error
+		if rec.Entry, err = harness.EncodeResultEntry(st.keys[i], rr.Result); err != nil {
 			c.cfg.Logf("fabric: journal encode %s: %v", st.keys[i][:12], err)
 			return
 		}
-		rec.Entry = entry
 	}
 	if err := c.journal.Append(rec); err != nil {
 		c.cfg.Logf("fabric: journal append: %v", err)
@@ -574,6 +578,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		rr := harness.RunResult{Run: st.runs[idx], CacheHit: cr.CacheHit}
+		var entry []byte
 		if cr.Err != "" {
 			rr.Err = errors.New(cr.Err)
 		} else {
@@ -586,11 +591,13 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			rr.Result = res
+			entry = cr.Entry
 			if c.cfg.Cache != nil {
 				_ = c.cfg.Cache.Put(st.runs[idx].Spec, res)
 			}
 		}
-		c.journalLocked(st, idx, rr)
+		// Journal the worker's bytes as verified above, not a re-encoding.
+		c.journalLocked(st, idx, rr, entry)
 		c.resolveLocked(st, idx, rr, &c.stats.FromWorkers)
 	}
 	if leased {

@@ -5,8 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"io/fs"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -257,6 +261,102 @@ func TestJournalResume(t *testing.T) {
 	}
 	if st.FromWorkers != 0 {
 		t.Errorf("resume should lease nothing: %s", st)
+	}
+}
+
+// TestJournalKeepsWorkerBytes: the coordinator journals the entry bytes a
+// worker sent, as verified, rather than a re-encoding of the decoded
+// result (gob renders maps in random order, so a re-encoding would differ),
+// and a resume replays them.
+func TestJournalKeepsWorkerBytes(t *testing.T) {
+	cfg, targets := testConfig()
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	meta := JournalMeta{
+		Grid: "fig5", Duration: cfg.Duration, Seed: cfg.Seed,
+		Replications: cfg.Replications,
+		Cells:        []string{"30ms", "38ms", "46ms"},
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5", JournalPath: path, Meta: meta, LeaseRuns: 2})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	// Workers reach the coordinator through a proxy that records every
+	// entry they send.
+	var mu sync.Mutex
+	sent := map[string][]byte{}
+	target, err := url.Parse("http://" + coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := httputil.NewSingleHostReverseProxy(target)
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/complete" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("proxy read: %v", err)
+			}
+			var req CompleteRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Errorf("proxy decode: %v", err)
+			}
+			mu.Lock()
+			for _, cr := range req.Runs {
+				sent[cr.Key] = cr.Entry
+			}
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		fwd.ServeHTTP(w, r)
+	}))
+	defer proxy.Close()
+	stop := startWorkers(t, proxy.URL, 2, nil)
+	dcfg := cfg
+	dcfg.Executor = coord
+	_, firstTbl, err := experiments.Figure5(dcfg, targets)
+	stop()
+	coord.Close()
+	if err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+
+	_, recs, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(targets) * cfg.Replications; len(recs) != want {
+		t.Fatalf("journal holds %d records, want %d", len(recs), want)
+	}
+	mu.Lock()
+	for _, rec := range recs {
+		if len(rec.Entry) == 0 || !bytes.Equal(rec.Entry, sent[rec.Key]) {
+			t.Errorf("journaled entry for %s is not the %d bytes the worker sent (got %d)",
+				rec.Key[:12], len(sent[rec.Key]), len(rec.Entry))
+		}
+	}
+	mu.Unlock()
+
+	resumed, err := NewCoordinator(CoordinatorConfig{
+		Grid: "fig5", JournalPath: path, Meta: meta, Resume: true, LeaseRuns: 2,
+	})
+	if err != nil {
+		t.Fatalf("resume coordinator: %v", err)
+	}
+	defer resumed.Close()
+	interrupt := make(chan struct{})
+	timer := time.AfterFunc(30*time.Second, func() { close(interrupt) })
+	defer timer.Stop()
+	rcfg := cfg
+	rcfg.Executor = resumed
+	rcfg.Interrupt = interrupt
+	_, resumedTbl, err := experiments.Figure5(rcfg, targets)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if got, want := tableText(t, resumedTbl), tableText(t, firstTbl); got != want {
+		t.Errorf("resumed table differs:\n--- first ---\n%s--- resumed ---\n%s", want, got)
+	}
+	if st := resumed.Stats(); st.FromJournal != st.Runs || st.Runs == 0 {
+		t.Errorf("resume should serve every run from the journal: %s", st)
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 )
 
 // journalMagic opens every journal file; a version bump invalidates old
-// journals wholesale (like the cache footer's).
-const journalMagic = "BGJL1\n"
+// journals wholesale (like the cache footer's). BGJL2 journals hold BGC2
+// cache entries.
+const journalMagic = "BGJL2\n"
 
 // JournalMeta is the journal's first block: everything needed to decide
 // whether a journal belongs to the sweep being resumed, and to rebuild

@@ -343,8 +343,11 @@ func (c *RunCache) insertLocked(key string, res *scenario.Result) {
 // footer: magic, payload length and payload CRC-32 (IEEE). A truncated
 // copy, a partial write that survived a crash, or bit rot all fail the
 // footer check; the entry is then deleted and the lookup degrades to a
-// miss, so the fresh result rewrites it.
-const cacheFooterMagic = "BGC1"
+// miss, so the fresh result rewrites it. The magic names the payload
+// format too: BGC2 entries carry the stats accumulators in their fixed
+// binary wire, so a BGC1 entry (nested gob streams) fails the footer
+// check instead of being half-read.
+const cacheFooterMagic = "BGC2"
 
 const cacheFooterSize = len(cacheFooterMagic) + 8
 

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -56,7 +57,7 @@ func TestRunCacheMemoryRoundTrip(t *testing.T) {
 
 // TestRunCacheDiskRoundTrip: a fresh cache over the same directory (a new
 // process, in effect) replays the sweep from disk with every statistic —
-// including delay quantiles backed by the gob-serialized samples — exact.
+// including delay quantiles backed by the serialized samples — exact.
 func TestRunCacheDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	sw := shortSweep(t)
@@ -317,5 +318,60 @@ func TestRunCacheCorruptionResilience(t *testing.T) {
 	}
 	if st := final.Stats(); st.DiskHits != uint64(len(sw.Runs)) || st.Corrupt != 0 {
 		t.Fatalf("final stats = %+v, want %d clean disk hits", st, len(sw.Runs))
+	}
+}
+
+// TestRunCacheDropsBGC1Entry: an entry written before the stats wire
+// became binary (footer magic BGC1, nested gob streams per accumulator)
+// fails the footer check, is dropped as corrupt, degrades to a miss, and
+// the fresh run rewrites it under the current BGC2 magic. The fixture is
+// the real BGC1 entry of the spec below under salt sim-v8.
+func TestRunCacheDropsBGC1Entry(t *testing.T) {
+	spec := scenario.Paper(40 * time.Millisecond)
+	spec.Duration = 200 * time.Millisecond
+	spec.Seed = 1
+	key := harness.CacheKey(harness.DefaultCacheSalt, spec)
+	old, err := os.ReadFile(filepath.Join("testdata", "bgc1-paper-40ms-200ms.run.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	footerMagic := func(entry []byte) string { return string(entry[len(entry)-12 : len(entry)-8]) }
+	if footerMagic(old) != "BGC1" || !bytes.Contains(old, []byte(key)) {
+		t.Fatalf("fixture is not a BGC1 entry for key %s", key)
+	}
+	dir := t.TempDir()
+	file := filepath.Join(dir, key+".run.gob")
+	if err := os.WriteFile(file, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runs := []harness.Run{{Cell: "fixture", Spec: spec}}
+	cache := newCache(t, harness.CacheConfig{Dir: dir})
+	cold, err := harness.Execute(runs, harness.Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold[0].CacheHit {
+		t.Fatal("a BGC1 entry was replayed")
+	}
+	if st := cache.Stats(); st.Corrupt != 1 || st.Misses != 1 || st.Stores != 1 {
+		t.Fatalf("stats = %+v, want one corrupt drop, miss and store", st)
+	}
+	rewritten, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if footerMagic(rewritten) != "BGC2" {
+		t.Fatalf("entry rewritten with footer magic %q, want BGC2", footerMagic(rewritten))
+	}
+	fresh := newCache(t, harness.CacheConfig{Dir: dir})
+	warm, err := harness.Execute(runs, harness.Options{Cache: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := fresh.Stats(); st.DiskHits != 1 || st.Corrupt != 0 {
+		t.Fatalf("stats = %+v, want a clean disk hit on the rewritten entry", st)
+	}
+	if got, want := fingerprint(t, warm), fingerprint(t, cold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rewritten entry drifted:\n got %v\nwant %v", got, want)
 	}
 }
