@@ -24,7 +24,9 @@
 //     bound math, token buckets, and segmentation policies;
 //   - internal/scenario — the declarative scenario API: a pure-data,
 //     JSON-serializable Spec (radio/poller/size distributions by name
-//     plus parameters) with a Timeline of mid-run changes — GS flows
+//     plus parameters; the v2 codec is its one rendering, for scenario
+//     files and for the fingerprint the run cache keys on) with a
+//     Timeline of mid-run changes — GS flows
 //     arrive through the paper's online admission test and may be
 //     rejected, flows and SCO voice links come and go, whole piconets
 //     join and leave — a scenario registry of named presets, and the

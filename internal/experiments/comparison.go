@@ -75,10 +75,10 @@ func TableT4(cfg Config) ([]T4Row, *stats.Table, error) {
 			byCell[cell] = point{target, busy}
 		}
 	}
-	sw := harness.GridSweep("t4", cfg.sweep(), cells, func(cell string) scenario.Spec {
+	sw := harness.Grid{Name: "t4", Cells: cells, Build: func(cell string) scenario.Spec {
 		p := byCell[cell]
 		return voiceSpec(cfg, p.target, p.busy)
-	})
+	}}.Sweep(cfg.sweep())
 	results, err := cfg.execute(sw.Runs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: T4: %w", err)
@@ -178,7 +178,7 @@ func AblationImprovements(cfg Config) ([]AblationRow, *stats.Table, error) {
 		cells = append(cells, c.label)
 		byCell[c.label] = i
 	}
-	sw := harness.GridSweep("a1", cfg.sweep(), cells, func(cell string) scenario.Spec {
+	sw := harness.Grid{Name: "a1", Cells: cells, Build: func(cell string) scenario.Spec {
 		c := configs[byCell[cell]]
 		spec := scenario.Paper(46 * time.Millisecond)
 		spec.Mode = c.mode
@@ -186,7 +186,7 @@ func AblationImprovements(cfg Config) ([]AblationRow, *stats.Table, error) {
 		spec.RulesSet = c.mode == core.VariableInterval
 		spec.WithoutPiggybacking = true
 		return spec
-	})
+	}}.Sweep(cfg.sweep())
 	results, err := cfg.execute(sw.Runs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: ablation: %w", err)

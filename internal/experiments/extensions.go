@@ -43,7 +43,7 @@ func RetransmissionStudy(cfg Config, bers []float64) ([]E5Row, *stats.Table, err
 	if len(bers) == 0 {
 		bers = []float64{0, 1e-5, 5e-5, 1e-4, 5e-4}
 	}
-	results, err := cfg.execute(harness.ExtensionSweep(cfg.sweep(), bers).Runs)
+	results, err := cfg.execute(harness.ExtensionGrid(bers).Sweep(cfg.sweep()).Runs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: E5: %w", err)
 	}
@@ -146,9 +146,9 @@ func SCOCoexistence(cfg Config) ([]E6Row, *stats.Table, error) {
 		}
 		return spec
 	}
-	sw := harness.GridSweep("e6", cfg.sweep(), e6Labels, func(cell string) scenario.Spec {
+	sw := harness.Grid{Name: "e6", Cells: e6Labels, Build: func(cell string) scenario.Spec {
 		return build(cell == e6Labels[1])
-	})
+	}}.Sweep(cfg.sweep())
 	results, err := cfg.execute(sw.Runs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: E6: %w", err)

@@ -44,7 +44,10 @@ import (
 // admission with duty-cycle derating, renegotiate_flow, route results) —
 // pre-bridge cached results can never replay runs the route-aware runner
 // would produce.
-const DefaultCacheSalt = "sim-v8"
+// sim-v9: the key rendering moved from the hand-kept canonical text to the
+// v2 codec (scenario.Spec.Fingerprint); results are unchanged, but every
+// key moves, and the journal salt check refuses to resume an older sweep.
+const DefaultCacheSalt = "sim-v9"
 
 // CacheBackend is the persistent half of a RunCache: a keyed store of
 // raw cache entries (gob payload plus integrity footer, the
@@ -209,14 +212,13 @@ func NewRunCache(cfg CacheConfig) (*RunCache, error) {
 }
 
 // CacheKey returns the content address of a run: the SHA-256 over the
-// cache salt and the spec's canonical rendering, hex encoded. Every
-// party of a distributed sweep — caches, fabric coordinator, workers —
-// derives keys through this one function, which is what makes results
+// cache salt and the spec's Fingerprint, hex encoded. Every party of a
+// distributed sweep — caches, fabric coordinator, workers — derives keys
+// through this one function, which is what makes results
 // location-independent.
 func CacheKey(salt string, spec scenario.Spec) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "bluegs/run\n%s\n%s", salt, spec.Canonical())
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256([]byte("bluegs/run\n" + salt + "\n" + spec.Fingerprint()))
+	return hex.EncodeToString(sum[:])
 }
 
 // Key returns the content address of a run under this cache's salt.

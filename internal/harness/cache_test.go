@@ -181,6 +181,38 @@ func TestRunCacheTracerBypass(t *testing.T) {
 
 // TestRunCacheSaltInvalidates: changing the code-version salt must miss on
 // a directory full of old results.
+// TestCacheKeyGolden pins one content address. Keys name on-disk entries
+// and fabric journal records, so any change to the key rendering — the
+// codec, WithDefaults, or CacheKey itself — must come with a bump of
+// DefaultCacheSalt.
+func TestCacheKeyGolden(t *testing.T) {
+	spec := scenario.Paper(40 * time.Millisecond)
+	spec.Duration = 200 * time.Millisecond
+	spec.Seed = 1
+	const want = "dec68f766bc8a526e6b703fa8bd45b663c87d8f3bfcba9148e5a82f6c55989d2"
+	if got := harness.CacheKey(harness.DefaultCacheSalt, spec); got != want {
+		t.Fatalf("CacheKey(%q, Paper(40ms) 200ms seed 1) = %s, want %s: "+
+			"the key rendering changed; bump DefaultCacheSalt and re-pin this key",
+			harness.DefaultCacheSalt, got, want)
+	}
+}
+
+// TestRunCacheStoresNoRefusedSpec: a spec the codec refuses (here an
+// unknown recovery policy) fingerprints under a refusal key rather than an
+// encoding; Run refuses it too, so nothing is ever stored under that key.
+func TestRunCacheStoresNoRefusedSpec(t *testing.T) {
+	spec := scenario.Paper(40 * time.Millisecond)
+	spec.Duration = 200 * time.Millisecond
+	spec.Recovery.Policy = "reboot"
+	cache := newCache(t, harness.CacheConfig{})
+	if _, err := harness.Execute([]harness.Run{{Cell: "bad", Spec: spec}}, harness.Options{Cache: cache}); err == nil {
+		t.Fatal("a spec with an unknown recovery policy executed")
+	}
+	if st := cache.Stats(); st.Stores != 0 {
+		t.Fatalf("stats = %+v, want no stores", st)
+	}
+}
+
 func TestRunCacheSaltInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	spec := scenario.Paper(40 * time.Millisecond)
@@ -325,7 +357,8 @@ func TestRunCacheCorruptionResilience(t *testing.T) {
 // became binary (footer magic BGC1, nested gob streams per accumulator)
 // fails the footer check, is dropped as corrupt, degrades to a miss, and
 // the fresh run rewrites it under the current BGC2 magic. The fixture is
-// the real BGC1 entry of the spec below under salt sim-v8.
+// the real BGC1 entry of the spec below under salt sim-v8, whose key it
+// records; the test plants it under the spec's current key.
 func TestRunCacheDropsBGC1Entry(t *testing.T) {
 	spec := scenario.Paper(40 * time.Millisecond)
 	spec.Duration = 200 * time.Millisecond
@@ -335,9 +368,10 @@ func TestRunCacheDropsBGC1Entry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const fixtureKey = "9947da1c7e84a91fc1377133a99f8a9d5fe1f7e9b0cd7b9d85fd3c02b2999148" // sim-v8
 	footerMagic := func(entry []byte) string { return string(entry[len(entry)-12 : len(entry)-8]) }
-	if footerMagic(old) != "BGC1" || !bytes.Contains(old, []byte(key)) {
-		t.Fatalf("fixture is not a BGC1 entry for key %s", key)
+	if footerMagic(old) != "BGC1" || !bytes.Contains(old, []byte(fixtureKey)) {
+		t.Fatalf("fixture is not a BGC1 entry for key %s", fixtureKey)
 	}
 	dir := t.TempDir()
 	file := filepath.Join(dir, key+".run.gob")

@@ -13,8 +13,8 @@
 // this.
 //
 // On top of the runner, Grid builders (Fig5Grid, ComparisonGrid,
-// ExtensionGrid and the fixed Sweep forms) assemble the paper's
-// evaluation grids, and the aggregation helpers reduce per-cell
+// ExtensionGrid; Grid.Sweep fixes the replication count) assemble the
+// paper's evaluation grids, and the aggregation helpers reduce per-cell
 // replications to mean/min/max/95%-confidence summaries via
 // internal/stats.
 //
@@ -35,9 +35,9 @@
 // # The run cache
 //
 // Options.Cache plugs in a RunCache: a content-addressed result store
-// keyed by the SHA-256 fingerprint of (scenario.Spec canonical rendering
-// — which includes seed and horizon — plus a code-version salt, see
-// DefaultCacheSalt). An in-memory LRU fronts an optional on-disk gob
+// keyed by the SHA-256 of a code-version salt (see DefaultCacheSalt) plus
+// scenario.Spec.Fingerprint, the hash of the spec's v2 encoding — which
+// includes seed and horizon. An in-memory LRU fronts an optional on-disk gob
 // directory, so re-running a sweep after changing one cell, re-anchoring
 // goldens, or re-rendering reports replays every unchanged run without
 // executing the simulator — across processes, with results that are

@@ -77,15 +77,6 @@ func (g Grid) Sweep(cfg SweepConfig) Sweep {
 	return sw
 }
 
-// GridSweep builds a fixed sweep from a list of cells and a spec factory
-// (see Grid for the sharing caveats). This is the generic builder the
-// typed sweeps share; experiments with bespoke grids (ablations,
-// coexistence pairs) use it directly.
-func GridSweep(name string, cfg SweepConfig, cells []string,
-	build func(cell string) scenario.Spec) Sweep {
-	return Grid{Name: name, Cells: cells, Build: build}.Sweep(cfg)
-}
-
 // Fig5Grid is the paper's Figure 5 grid: the Fig. 4 piconet at every
 // delay target. Cells are the target durations rendered with
 // time.Duration.String.
@@ -118,12 +109,6 @@ func ComparisonGrid(kinds []scenario.BEPollerKind) Grid {
 	return Grid{Name: "comparison", Cells: cells, Build: func(cell string) scenario.Spec {
 		return scenario.Baseline(scenario.BEPollerKind(cell))
 	}}
-}
-
-// ComparisonSweep builds the poller comparison grid at a fixed
-// replication count.
-func ComparisonSweep(cfg SweepConfig, kinds []scenario.BEPollerKind) Sweep {
-	return ComparisonGrid(kinds).Sweep(cfg)
 }
 
 // ExtensionCell names one (bit error rate, recovery) grid point of the
@@ -184,10 +169,4 @@ func ExtensionGrid(bers []float64) Grid {
 		}
 		return spec
 	}}
-}
-
-// ExtensionSweep builds the retransmission-study grid at a fixed
-// replication count.
-func ExtensionSweep(cfg SweepConfig, bers []float64) Sweep {
-	return ExtensionGrid(bers).Sweep(cfg)
 }

@@ -434,9 +434,9 @@ func TestRouteDegradeRecovery(t *testing.T) {
 }
 
 // TestCanonicalBridgeFreeStability mirrors the fault-free stability test
-// for the bridge layer: bridge and route blocks render only when present,
-// so every bridge-free spec keeps its exact canonical form — its cache
-// entries move only via the sim-v8 salt — while every bridge knob is
+// for the bridge layer: bridge and route blocks encode only when present,
+// so every bridge-free spec keeps its exact fingerprint — its cache
+// entries move only via the code-version salt — while every bridge knob is
 // semantically live.
 func TestCanonicalBridgeFreeStability(t *testing.T) {
 	for _, spec := range []Spec{
@@ -445,10 +445,13 @@ func TestCanonicalBridgeFreeStability(t *testing.T) {
 		Scatternet(ScatternetConfig{}),
 	} {
 		base := spec.Fingerprint()
-		canon := spec.Canonical()
-		for _, banned := range []string{"bridge", "route", "tl-renegotiate"} {
-			if strings.Contains(canon, banned) {
-				t.Fatalf("%s: bridge-free canonical form contains %q:\n%s", spec.Name, banned, canon)
+		data, err := Marshal(spec.WithDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, banned := range []string{`"bridges"`, `"routes"`, `"add_route"`, `"remove_route"`, `"renegotiate_flow"`} {
+			if strings.Contains(string(data), banned) {
+				t.Fatalf("%s: bridge-free encoding contains %s:\n%s", spec.Name, banned, data)
 			}
 		}
 		reneg := spec

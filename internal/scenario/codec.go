@@ -234,6 +234,37 @@ func typeSetNames(set baseband.TypeSet) []string {
 	return out
 }
 
+// packetTypesByName resolves spec names like "DH3".
+var packetTypesByName = map[string]baseband.PacketType{
+	"DM1": baseband.TypeDM1, "DH1": baseband.TypeDH1,
+	"DM3": baseband.TypeDM3, "DH3": baseband.TypeDH3,
+	"DM5": baseband.TypeDM5, "DH5": baseband.TypeDH5,
+	"HV1": baseband.TypeHV1, "HV2": baseband.TypeHV2, "HV3": baseband.TypeHV3,
+}
+
+func parseTypeSet(names []string) (baseband.TypeSet, error) {
+	var set baseband.TypeSet
+	for _, n := range names {
+		t, ok := packetTypesByName[strings.ToUpper(strings.TrimSpace(n))]
+		if !ok {
+			return 0, fmt.Errorf("%w: unknown packet type %q", ErrBadSpec, n)
+		}
+		set = set.Add(t)
+	}
+	return set, nil
+}
+
+func parseDir(s string) (piconet.Direction, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "up":
+		return piconet.Up, nil
+	case "down":
+		return piconet.Down, nil
+	default:
+		return 0, fmt.Errorf("%w: direction %q (want up or down)", ErrBadSpec, s)
+	}
+}
+
 // marshalGS converts a GS flow to its file form.
 func marshalGS(g GSFlow) gsV2 {
 	return gsV2{
@@ -334,6 +365,24 @@ func marshalPiconet(ps PiconetSpec) piconetV2 {
 // and round-trips: Unmarshal(Marshal(spec)) is fingerprint-identical to
 // spec.
 func Marshal(spec Spec) ([]byte, error) {
+	fs, err := encodeV2(spec)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(fs); err != nil {
+		return nil, fmt.Errorf("scenario: marshal: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// encodeV2 builds the v2 file form of a Spec: the one rendering behind
+// both Marshal and Fingerprint. It refuses specs the format cannot
+// express (an unknown mode or recovery policy, a timeline event without
+// exactly one operation).
+func encodeV2(spec Spec) (specV2, error) {
 	fs := specV2{
 		Format:              FormatV2,
 		Name:                spec.Name,
@@ -357,7 +406,7 @@ func Marshal(spec Spec) ([]byte, error) {
 		}
 	}
 	// Names are emitted defaulted, so an unnamed piconet reads back as
-	// the same piconet Canonical and Run resolve it to.
+	// the same piconet Run resolves it to.
 	for _, ps := range withPiconetNames(spec.Piconets) {
 		fs.Piconets = append(fs.Piconets, marshalPiconet(ps))
 	}
@@ -395,7 +444,7 @@ func Marshal(spec Spec) ([]byte, error) {
 	}
 	if spec.Recovery != (RecoverySpec{}) {
 		if !spec.Recovery.Policy.Valid() {
-			return nil, fmt.Errorf("%w: recovery policy %q", ErrBadSpec, spec.Recovery.Policy)
+			return specV2{}, fmt.Errorf("%w: recovery policy %q", ErrBadSpec, spec.Recovery.Policy)
 		}
 		fs.Recovery = &recoveryV2{
 			Supervision:   spec.Recovery.Supervision,
@@ -411,7 +460,7 @@ func Marshal(spec Spec) ([]byte, error) {
 	case core.VariableInterval:
 		fs.Mode = "variable"
 	default:
-		return nil, fmt.Errorf("%w: mode %v", ErrBadSpec, spec.Mode)
+		return specV2{}, fmt.Errorf("%w: mode %v", ErrBadSpec, spec.Mode)
 	}
 	if spec.RulesSet {
 		rules := spec.Rules.String()
@@ -439,7 +488,7 @@ func Marshal(spec Spec) ([]byte, error) {
 	}
 	for i, ev := range spec.Timeline {
 		if ev.ops() != 1 {
-			return nil, fmt.Errorf("%w: timeline[%d] sets %d operations", ErrBadSpec, i, ev.ops())
+			return specV2{}, fmt.Errorf("%w: timeline[%d] sets %d operations", ErrBadSpec, i, ev.ops())
 		}
 		out := timelineEvtV2{At: ev.At.String(), Piconet: ev.Piconet}
 		switch {
@@ -474,13 +523,7 @@ func Marshal(spec Spec) ([]byte, error) {
 		}
 		fs.Timeline = append(fs.Timeline, out)
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(fs); err != nil {
-		return nil, fmt.Errorf("scenario: marshal: %w", err)
-	}
-	return buf.Bytes(), nil
+	return fs, nil
 }
 
 // unmarshalSize resolves a size distribution into its [min, max] support.
@@ -855,7 +898,7 @@ func Unmarshal(data []byte) (Spec, error) {
 		spec.Timeline = append(spec.Timeline, out)
 	}
 	// Validate the defaulted view (names filled, timeline targets
-	// resolved) — the same view Run and Canonical act on.
+	// resolved) — the same view Run and Fingerprint act on.
 	def := spec.WithDefaults()
 	if err := def.validateScatternet(); err != nil {
 		return Spec{}, err
@@ -872,19 +915,11 @@ func Unmarshal(data []byte) (Spec, error) {
 	return spec, nil
 }
 
-// LoadFile reads a scenario file, accepting both the v2 format (see
-// Marshal) and the legacy v1 FileSpec form (files without a "format"
-// tag).
+// LoadFile reads a v2 scenario file (see Marshal).
 func LoadFile(path string) (Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Spec{}, fmt.Errorf("scenario: %w", err)
 	}
-	var sniff struct {
-		Format string `json:"format"`
-	}
-	if err := json.Unmarshal(data, &sniff); err == nil && sniff.Format != "" {
-		return Unmarshal(data)
-	}
-	return ParseSpec(data)
+	return Unmarshal(data)
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -127,8 +128,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			t.Fatalf("case %d: Unmarshal: %v\njson:\n%s", i, err, data)
 		}
 		if got, want := back.Fingerprint(), spec.Fingerprint(); got != want {
-			t.Fatalf("case %d: fingerprint diverged after round trip\njson:\n%s\ncanonical got:\n%s\ncanonical want:\n%s",
-				i, data, back.Canonical(), spec.Canonical())
+			t.Fatalf("case %d: fingerprint diverged after round trip\njson:\n%s", i, data)
 		}
 		if back.Name != spec.Name {
 			t.Fatalf("case %d: Name %q != %q", i, back.Name, spec.Name)
@@ -209,8 +209,9 @@ func TestCodecErrors(t *testing.T) {
 	}
 }
 
-// TestLoadFileSniffsFormats: LoadFile must accept both the v2 format and
-// legacy v1 files.
+// TestLoadFileSniffsFormats: LoadFile reads the v2 format and refuses
+// anything else — a legacy v1 file (no "format" tag) included — with
+// ErrBadSpec.
 func TestLoadFileSniffsFormats(t *testing.T) {
 	dir := t.TempDir()
 	v2, err := Marshal(Paper(40 * time.Millisecond))
@@ -234,11 +235,122 @@ func TestLoadFileSniffsFormats(t *testing.T) {
 	if err := os.WriteFile(v1Path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if spec, err = LoadFile(v1Path); err != nil {
-		t.Fatalf("LoadFile v1: %v", err)
+	if _, err := LoadFile(v1Path); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("LoadFile v1: err = %v, want ErrBadSpec", err)
 	}
-	if spec.Name != "legacy" || len(spec.GS) != 1 {
-		t.Fatalf("v1 load: %+v", spec)
+	if _, err := LoadFile(filepath.Join(dir, "missing.json")); err == nil {
+		t.Fatal("missing file should fail")
+	}
+}
+
+// sampleJSON is a hand-written v2 file exercising most header knobs.
+const sampleJSON = `{
+  "format": "bluegs/scenario/v2",
+  "name": "custom",
+  "delay_target": "42ms",
+  "duration": "5s",
+  "seed": 9,
+  "mode": "fixed",
+  "poller": {"kind": "fep"},
+  "allowed_types": ["DH1", "DH3"],
+  "direction_aware": true,
+  "radio": {"kind": "ber", "ber": 0.0001},
+  "arq": true,
+  "loss_recovery": true,
+  "gs_flows": [
+    {"id": 1, "slave": 1, "dir": "up", "interval": "20ms",
+     "size": {"kind": "uniform", "min": 144, "max": 176}, "phase": "2ms"}
+  ],
+  "be_flows": [
+    {"id": 2, "slave": 2, "dir": "down", "rate_kbps": 40,
+     "size": {"kind": "fixed", "bytes": 27}, "allowed_types": ["DH1"]}
+  ],
+  "sco_links": [
+    {"slave": 3, "type": "HV3"}
+  ]
+}`
+
+// TestParseSpec: a hand-written file decodes field by field.
+func TestParseSpec(t *testing.T) {
+	spec, err := Unmarshal([]byte(sampleJSON))
+	if err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	if spec.Name != "custom" || spec.Seed != 9 {
+		t.Fatalf("header: %+v", spec)
+	}
+	if spec.DelayTarget != 42*time.Millisecond || spec.Duration != 5*time.Second {
+		t.Fatalf("durations: %v %v", spec.DelayTarget, spec.Duration)
+	}
+	if spec.Mode != core.FixedInterval {
+		t.Fatalf("mode = %v", spec.Mode)
+	}
+	if spec.BEPoller != BEFEP {
+		t.Fatalf("poller = %v", spec.BEPoller)
+	}
+	if !spec.DirectionAware || !spec.ARQ || !spec.LossRecovery {
+		t.Fatal("boolean knobs not parsed")
+	}
+	if spec.Radio.Kind != RadioBER || spec.Radio.BER != 0.0001 {
+		t.Fatalf("radio = %+v", spec.Radio)
+	}
+	if len(spec.GS) != 1 || spec.GS[0].Dir != piconet.Up || spec.GS[0].Phase != 2*time.Millisecond {
+		t.Fatalf("GS = %+v", spec.GS)
+	}
+	if len(spec.BE) != 1 || !spec.BE[0].Allowed.Contains(baseband.TypeDH1) ||
+		spec.BE[0].Allowed.Contains(baseband.TypeDH3) {
+		t.Fatalf("BE = %+v", spec.BE)
+	}
+	if len(spec.SCO) != 1 || spec.SCO[0].Type != baseband.TypeHV3 || spec.SCO[0].Slave != 3 {
+		t.Fatalf("SCO = %+v", spec.SCO)
+	}
+	if !spec.Allowed.Contains(baseband.TypeDH3) {
+		t.Fatalf("allowed = %v", spec.Allowed)
+	}
+}
+
+func TestParsedSpecRuns(t *testing.T) {
+	spec, err := Unmarshal([]byte(sampleJSON))
+	if err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	spec.Duration = 3 * time.Second
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if v := res.BoundViolations(); len(v) != 0 {
+		t.Fatalf("violations: %+v", v)
+	}
+	if res.SCOKbps[3] < 120 {
+		t.Fatalf("SCO throughput = %.1f, want ~128", res.SCOKbps[3])
+	}
+	gsFlow, _ := res.FlowByID(1)
+	if gsFlow.Kbps < 60 {
+		t.Fatalf("GS throughput = %.1f", gsFlow.Kbps)
+	}
+}
+
+// TestParseSpecErrors: field-level decode errors surface as ErrBadSpec.
+func TestParseSpecErrors(t *testing.T) {
+	const v2 = `{"format":"bluegs/scenario/v2",`
+	tests := []struct {
+		name string
+		json string
+	}{
+		{"invalid json", `{`},
+		{"unknown field", v2 + `"bogus": 1}`},
+		{"bad mode", v2 + `"mode": "warp"}`},
+		{"bad direction", v2 + `"gs_flows": [{"id":1,"slave":1,"dir":"sideways","interval":"20ms","size":{"kind":"uniform","min":10,"max":20}}]}`},
+		{"bad packet type", v2 + `"allowed_types": ["DH9"]}`},
+		{"acl as sco", v2 + `"sco_links": [{"slave":1,"type":"DH1"}]}`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := Unmarshal([]byte(tt.json)); !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("err = %v, want ErrBadSpec", err)
+			}
+		})
 	}
 }
 
@@ -272,8 +384,7 @@ func TestCodecFaultBlocksRoundTrip(t *testing.T) {
 		t.Fatalf("Unmarshal: %v\njson:\n%s", err, data)
 	}
 	if back.Fingerprint() != spec.Fingerprint() {
-		t.Fatalf("fingerprint diverged after round trip\ngot:\n%s\nwant:\n%s",
-			back.Canonical(), spec.Canonical())
+		t.Fatalf("fingerprint diverged after round trip\njson:\n%s", data)
 	}
 	if !reflect.DeepEqual(back.Faults, spec.Faults) {
 		t.Fatalf("fault plan drifted:\ngot  %+v\nwant %+v", back.Faults, spec.Faults)

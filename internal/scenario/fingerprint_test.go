@@ -10,16 +10,16 @@ import (
 
 func TestCanonicalDefaultsInvariant(t *testing.T) {
 	// A spec and its explicitly defaulted twin describe the same
-	// simulation, so they must share a canonical form.
+	// simulation, so they must share a fingerprint.
 	bare := Paper(40 * time.Millisecond)
 	bare.Duration, bare.Seed = 0, 0
 	full := bare
 	full.Duration, full.Seed = 30*time.Second, 1
-	if bare.Canonical() != full.Canonical() {
-		t.Fatalf("defaulted specs diverge:\n%s\nvs\n%s", bare.Canonical(), full.Canonical())
-	}
 	if bare.Fingerprint() != full.Fingerprint() {
 		t.Fatal("defaulted specs fingerprint differently")
+	}
+	if bare.Fingerprint() != bare.WithDefaults().Fingerprint() {
+		t.Fatal("a spec and its WithDefaults twin fingerprint differently")
 	}
 }
 
@@ -80,17 +80,19 @@ func TestFingerprintIgnoresLabels(t *testing.T) {
 }
 
 // TestCanonicalDeratingKnobs: the interference-aware admission fields
-// enter the canonical rendering, but only in the combinations that change
-// the simulation — a flat (derating-off) spec keeps one canonical form no
-// matter how the inert knobs are set, so pre-existing cached tables keyed
-// on flat specs stay reachable across the sim-v6 bump.
+// enter the fingerprint, but only in the combinations that change the
+// simulation — a flat (derating-off) spec keeps one fingerprint no matter
+// how the inert knobs are set.
 func TestCanonicalDeratingKnobs(t *testing.T) {
 	flat := Paper(40 * time.Millisecond)
-	if c := flat.Canonical(); !strings.Contains(c, "iaa=false derate=0") {
-		t.Fatalf("flat canonical form misses the derating knobs:\n%s", c)
+	data, err := Marshal(flat.WithDefaults())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c := flat.Canonical(); !strings.Contains(c, "spec-canon/v4") {
-		t.Fatalf("canonical form not tagged v4:\n%s", c)
+	for _, key := range []string{`"interference_aware_admission"`, `"admission_derate"`} {
+		if strings.Contains(string(data), key) {
+			t.Fatalf("flat spec encodes the inert knob %s:\n%s", key, data)
+		}
 	}
 
 	// Interference-aware admission without the interference coupling is
@@ -112,28 +114,35 @@ func TestCanonicalDeratingKnobs(t *testing.T) {
 	if wild.Fingerprint() != on.Fingerprint() {
 		t.Fatal("out-of-range AdmissionDerate must normalise to the estimate default")
 	}
-	if c := on.WithDefaults().Canonical(); !strings.Contains(c, "iaa=true derate=0") {
-		t.Fatalf("enabled iaa lost in canonical form:\n%s", c)
+	off := on
+	off.InterferenceAwareAdmission = false
+	if on.Fingerprint() == off.Fingerprint() {
+		t.Fatal("enabled iaa does not enter the fingerprint")
 	}
 	static := on
 	static.AdmissionDerate = 0.875
-	if !strings.Contains(static.Canonical(), "derate=0.875") {
-		t.Fatalf("static derate lost in canonical form:\n%s", static.Canonical())
+	if static.Fingerprint() == on.Fingerprint() {
+		t.Fatal("a static derate of 0.875 fingerprints like the medium estimate")
 	}
 }
 
 func TestCanonicalMentionsRadioParameters(t *testing.T) {
 	s := Paper(40 * time.Millisecond)
 	s.Radio = BERRadio(1e-5)
-	if c := s.Canonical(); !strings.Contains(c, "1e-05") {
-		t.Fatalf("canonical form loses the BER parameter:\n%s", c)
+	other := s
+	other.Radio = BERRadio(2e-5)
+	if s.Fingerprint() == other.Fingerprint() {
+		t.Fatal("the fingerprint loses the BER parameter")
+	}
+	if s.Fingerprint() == Paper(40*time.Millisecond).Fingerprint() {
+		t.Fatal("a BER radio fingerprints like the ideal channel")
 	}
 }
 
 // TestCanonicalFaultFreeStability: the fault plan, the recovery block and
-// the move_flow event render into the canonical form only when present,
-// so every pre-existing fault-free spec keeps its exact fingerprint — and
-// its cache entries move only via the code-version salt, never silently.
+// the move_flow event encode only when present, so every pre-existing
+// fault-free spec keeps its exact fingerprint — and its cache entries move
+// only via the code-version salt, never silently.
 func TestCanonicalFaultFreeStability(t *testing.T) {
 	for _, spec := range []Spec{
 		Paper(40 * time.Millisecond),
@@ -141,10 +150,13 @@ func TestCanonicalFaultFreeStability(t *testing.T) {
 		Scatternet(ScatternetConfig{}),
 	} {
 		base := spec.Fingerprint()
-		canon := spec.Canonical()
-		for _, banned := range []string{"fault-outage", "fault-depart", "fault-crash", "recovery ", "tl-move"} {
-			if strings.Contains(canon, banned) {
-				t.Fatalf("%s: fault-free canonical form contains %q:\n%s", spec.Name, banned, canon)
+		data, err := Marshal(spec.WithDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, banned := range []string{`"faults"`, `"recovery"`, `"move_flow"`} {
+			if strings.Contains(string(data), banned) {
+				t.Fatalf("%s: fault-free encoding contains %s:\n%s", spec.Name, banned, data)
 			}
 		}
 

@@ -128,6 +128,11 @@ func RunWith(spec Spec, hooks Hooks) (*Result, error) {
 	if err := validateFaults(spec); err != nil {
 		return nil, err
 	}
+	// A runnable spec is one the codec renders (a known mode and recovery
+	// policy, finite parameters): the run cache keys on that rendering.
+	if _, err := fingerprintBytes(spec); err != nil {
+		return nil, err
+	}
 	piconets := spec.piconetSpecs()
 	if hooks.Radio != nil && (len(piconets) > 1 || timelineAddsPiconet(spec)) {
 		return nil, fmt.Errorf("%w: a live Radio hook cannot serve a multi-piconet run", ErrBadSpec)

@@ -47,7 +47,7 @@ type InterferenceSpec struct {
 
 // withDefaults pins the parameters: enabled specs get the standard
 // hop-set and window, disabled specs zero out so equivalent specs share
-// one canonical rendering.
+// one fingerprint.
 func (i InterferenceSpec) withDefaults() InterferenceSpec {
 	if !i.Enabled {
 		return InterferenceSpec{}
@@ -87,7 +87,7 @@ func (s Spec) defaultPiconetName() string {
 // withPiconetNames fills empty piconet names positionally ("pn<i+1>"),
 // on a copy when anything changes. WithDefaults, Marshal and the
 // validators share it, so an unnamed piconet means the same piconet
-// everywhere — Run, Canonical and the file form can never disagree.
+// everywhere — Run, Fingerprint and the file form can never disagree.
 func withPiconetNames(pns []PiconetSpec) []PiconetSpec {
 	for i, ps := range pns {
 		if ps.Name != "" {

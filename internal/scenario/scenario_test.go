@@ -131,6 +131,30 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnencodableSpecs: Run accepts only specs the codec can
+// render, because the run cache keys on that rendering. An out-of-range
+// Mode used to run as an undocumented hybrid (variable-interval planning
+// with every §3.2 rule off), and a non-finite parameter has no JSON form.
+func TestRunRejectsUnencodableSpecs(t *testing.T) {
+	for name, mutate := range map[string]func(*Spec){
+		"mode 7": func(s *Spec) { s.Mode = core.Mode(7) },
+		"nan be rate": func(s *Spec) {
+			s.BE = append([]BEFlow(nil), s.BE...)
+			s.BE[0].RateKbps = math.NaN()
+		},
+		"inf ber": func(s *Spec) { s.Radio = BERRadio(math.Inf(1)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec := Paper(40 * time.Millisecond)
+			spec.Duration = 200 * time.Millisecond
+			mutate(&spec)
+			if _, err := Run(spec); !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("err = %v, want ErrBadSpec", err)
+			}
+		})
+	}
+}
+
 func TestNewBEPollerKinds(t *testing.T) {
 	kinds := []BEPollerKind{"", BEPFP, BERoundRobin, BEExhaustive, BEFEP, BEEDC, BEDemand, BEHOL}
 	for _, k := range kinds {
